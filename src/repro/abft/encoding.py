@@ -57,6 +57,21 @@ def make_weight_block(
     return np.vstack(rows)
 
 
+def freeze_col_checksums(ext: np.ndarray, weights: np.ndarray, p: int, ib: int) -> int:
+    """Set the column checksums of finished columns ``[p, p+ib)`` to the
+    weighted sums of their H segments (rows ``0 .. j+1`` of column ``j``)
+    with one masked product; returns the flops per matrix.
+
+    *ext* is one (N+k) x (N+k) extended storage or a stack of them, so
+    the scalar and batched lanes share this one formulation.
+    """
+    k, n = weights.shape
+    end = min(p + ib, n)
+    hi = min(end + 1, n)
+    ext[..., n:, p:end] = weights[:, :hi] @ np.triu(ext[..., :hi, p:end], -(p + 1))
+    return k * F.dot_flops_total(np.minimum(np.arange(p + 2, end + 2), n))
+
+
 class EncodedMatrix:
     """An N x N matrix extended with k checksum columns and k checksum rows.
 
@@ -146,29 +161,21 @@ class EncodedMatrix:
 
     def _masked(self, finished_cols: int) -> np.ndarray:
         """The mathematical matrix: Q-region of finished columns zeroed."""
-        n = self.n
         m = self.data.copy()
-        for j in range(min(finished_cols, n)):
-            m[j + 2 :, j] = 0.0
+        f = min(finished_cols, self.n)
+        m[:, :f] = np.triu(m[:, :f], -1)
         return m
 
-    def fresh_row_sums(
+    def fresh_blocks(
         self, finished_cols: int, *, counter: FlopCounter | None = None
-    ) -> np.ndarray:
-        """Recompute unit row sums of the mathematical matrix (length N)."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """All channels' fresh row checksums (N, k) and column checksums
+        (k, N), from one masked copy."""
         n = self.n
         if counter is not None:
-            counter.add("abft_locate", n * F.dot_flops(n))
-        return self._masked(finished_cols) @ np.ones(n, dtype=self.ext.dtype)
-
-    def fresh_col_sums(
-        self, finished_cols: int, *, counter: FlopCounter | None = None
-    ) -> np.ndarray:
-        """Recompute unit column sums of the mathematical matrix (length N)."""
-        n = self.n
-        if counter is not None:
-            counter.add("abft_locate", n * F.dot_flops(n))
-        return np.ones(n, dtype=self.ext.dtype) @ self._masked(finished_cols)
+            counter.add("abft_locate", 2 * self.k * n * F.dot_flops(n))
+        m = self._masked(finished_cols)
+        return m @ self.weights.T, self.weights @ m
 
     def fresh_row_block(
         self, finished_cols: int, *, counter: FlopCounter | None = None
@@ -178,15 +185,6 @@ class EncodedMatrix:
         if counter is not None:
             counter.add("abft_locate", self.k * n * F.dot_flops(n))
         return self._masked(finished_cols) @ self.weights.T
-
-    def fresh_col_block(
-        self, finished_cols: int, *, counter: FlopCounter | None = None
-    ) -> np.ndarray:
-        """All channels' fresh column checksums, shape (k, N)."""
-        n = self.n
-        if counter is not None:
-            counter.add("abft_locate", self.k * n * F.dot_flops(n))
-        return self.weights @ self._masked(finished_cols)
 
     def refresh_finished_segment(
         self, p: int, ib: int, *, counter: FlopCounter | None = None
@@ -199,12 +197,9 @@ class EncodedMatrix:
         weighted column sum of H ("computed segment by segment", as the
         paper describes for the analogous Q checksums in Fig. 5).
         """
-        n = self.n
-        for j in range(p, min(p + ib, n)):
-            hi = min(j + 2, n)
-            self.ext[n:, j] = self.weights[:, :hi] @ self.ext[:hi, j]
-            if counter is not None:
-                counter.add("abft_maintain", self.k * F.dot_flops(hi))
+        flops = freeze_col_checksums(self.ext, self.weights, p, ib)
+        if counter is not None:
+            counter.add("abft_maintain", flops)
 
     # -- convenience -------------------------------------------------------
 

@@ -97,6 +97,19 @@ def residual_threshold(em: EncodedMatrix, norm_a: float, eps_factor: float = 1.0
     return rel * DEFAULT_SIGMA_FACTOR * eps * float(np.sqrt(max(m2, 1.0)))
 
 
+def _close(a, b, tol: float) -> np.ndarray:
+    """Elementwise residual match. The magnitude-relative term is needed
+    because the sums' roundoff scales with the corruption size itself; a
+    NaN operand never matches."""
+    return np.abs(a - b) <= np.maximum(tol, 1e-9 * np.maximum(np.abs(a), np.abs(b)))
+
+
+def _hot(x: np.ndarray, tol: float) -> np.ndarray:
+    """Residual entries above *tol*. Non-finite residuals (Inf/NaN
+    corruption) always count — plain magnitude comparison would drop them."""
+    return (np.abs(x) > tol) | ~np.isfinite(x)
+
+
 def decode_residuals(dr: np.ndarray, dc: np.ndarray, tol: float) -> list[LocatedError]:
     """Decode row/column residuals into located errors by peeling.
 
@@ -105,93 +118,87 @@ def decode_residuals(dr: np.ndarray, dc: np.ndarray, tol: float) -> list[Located
     corrupted row-checksum element contributes ``−m`` to ``dr[i]`` only).
     The arrays are consumed (modified in place on a copy made by the
     caller). Shared by the H-matrix locator and the Q protector.
+
+    The peeling step works on one boolean match matrix over bad rows ×
+    bad columns, built once and kept current as lines are peeled.
     """
     errors: list[LocatedError] = []
+    rows = np.flatnonzero(_hot(dr, tol))
+    cols = np.flatnonzero(_hot(dc, tol))
+    match = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(rows.size + cols.size + 1):
+            if not rows.size and not cols.size:
+                break
 
-    def close(a: float, b: float) -> bool:
-        # residual comparisons need a magnitude-relative term: the sums'
-        # roundoff scales with the corruption size itself
-        return abs(a - b) <= max(tol, 1e-9 * max(abs(a), abs(b)))
+            # Checksum-element corruption: residual on one side only. For a
+            # corrupted checksum the fresh sum is the truth, so the stored
+            # checksum is off by -residual.
+            if not cols.size:
+                errors += [LocatedError("row_checksum", i, -1, m)
+                           for i, m in zip(rows.tolist(), (-dr[rows]).tolist())]
+                rows = rows[:0]
+                continue
+            if not rows.size:
+                errors += [LocatedError("col_checksum", -1, j, m)
+                           for j, m in zip(cols.tolist(), (-dc[cols]).tolist())]
+                cols = cols[:0]
+                continue
 
-    # non-finite residuals (Inf/NaN corruption) always count as bad lines —
-    # plain magnitude comparison would silently drop them
-    bad_rows = set(np.flatnonzero((np.abs(dr) > tol) | ~np.isfinite(dr)).tolist())
-    bad_cols = set(np.flatnonzero((np.abs(dc) > tol) | ~np.isfinite(dc)).tolist())
+            # Structural rule: a single bad row owns every bad column's error.
+            if rows.size == 1:
+                i = int(rows[0])
+                total = dc[cols].sum()
+                if not _close(dr[i], total, tol) and np.isfinite(total):
+                    raise UncorrectableError(
+                        f"inconsistent residuals: row {i} residual {dr[i]:.3e} vs "
+                        f"column total {total:.3e}"
+                    )
+                errors += [LocatedError("data", i, j, m)
+                           for j, m in zip(cols.tolist(), dc[cols].tolist())]
+                rows, cols = rows[:0], cols[:0]
+                continue
+            if cols.size == 1:
+                j = int(cols[0])
+                total = dr[rows].sum()
+                if not _close(dc[j], total, tol) and np.isfinite(total):
+                    raise UncorrectableError(
+                        f"inconsistent residuals: column {j} residual {dc[j]:.3e} vs "
+                        f"row total {total:.3e}"
+                    )
+                errors += [LocatedError("data", i, j, m)
+                           for i, m in zip(rows.tolist(), dr[rows].tolist())]
+                rows, cols = rows[:0], cols[:0]
+                continue
 
-    guard = len(bad_rows) + len(bad_cols) + 1
-    for _ in range(guard):
-        if not bad_rows and not bad_cols:
-            break
-
-        # Checksum-element corruption: residual on one side only. For a
-        # corrupted checksum the fresh sum is the truth, so the stored
-        # checksum is off by -residual.
-        if bad_rows and not bad_cols:
-            for i in sorted(bad_rows):
-                errors.append(LocatedError("row_checksum", i, -1, float(-dr[i])))
-            bad_rows.clear()
-            continue
-        if bad_cols and not bad_rows:
-            for j in sorted(bad_cols):
-                errors.append(LocatedError("col_checksum", -1, j, float(-dc[j])))
-            bad_cols.clear()
-            continue
-
-        # Structural rule: a single bad row owns every bad column's error.
-        if len(bad_rows) == 1:
-            i = next(iter(bad_rows))
-            total = sum(dc[j] for j in bad_cols)
-            if not close(dr[i], total) and np.isfinite(total):
+            # Magnitude peeling: the first bad row matching exactly one bad
+            # column that no other bad row matches must be a lone error on
+            # each of its lines.
+            if match is None:
+                match = _close(dr[rows, None], dc[None, cols], tol)
+            first = match.argmax(axis=1)
+            lone = (match.sum(axis=1) == 1) & (match.sum(axis=0)[first] == 1)
+            if not lone.any():
                 raise UncorrectableError(
-                    f"inconsistent residuals: row {i} residual {dr[i]:.3e} vs "
-                    f"column total {total:.3e}"
+                    "error pattern cannot be peeled (rectangular or ambiguous): "
+                    f"rows {rows.tolist()}, cols {cols.tolist()}"
                 )
-            for j in sorted(bad_cols):
-                errors.append(LocatedError("data", i, j, float(dc[j])))
-            bad_rows.clear()
-            bad_cols.clear()
-            continue
-        if len(bad_cols) == 1:
-            j = next(iter(bad_cols))
-            total = sum(dr[i] for i in bad_rows)
-            if not close(dc[j], total) and np.isfinite(total):
-                raise UncorrectableError(
-                    f"inconsistent residuals: column {j} residual {dc[j]:.3e} vs "
-                    f"row total {total:.3e}"
-                )
-            for i in sorted(bad_rows):
-                errors.append(LocatedError("data", i, j, float(dr[i])))
-            bad_rows.clear()
-            bad_cols.clear()
-            continue
-
-        # Magnitude peeling: a (row, col) pair matching uniquely on both
-        # sides must be a lone error on each of its lines.
-        peeled = False
-        for i in sorted(bad_rows):
-            matches = [j for j in bad_cols if close(dr[i], dc[j])]
-            if len(matches) == 1:
-                j = matches[0]
-                back = [i2 for i2 in bad_rows if close(dc[j], dr[i2])]
-                if len(back) == 1:
-                    m = float(dr[i])
-                    errors.append(LocatedError("data", i, j, m))
-                    dr[i] -= m
-                    dc[j] -= m
-                    bad_rows.discard(i)
-                    if abs(dc[j]) <= tol:
-                        bad_cols.discard(j)
-                    peeled = True
-                    break
-        if not peeled:
+            r = int(lone.argmax())
+            c = int(first[r])
+            i, j = int(rows[r]), int(cols[c])
+            m = float(dr[i])
+            errors.append(LocatedError("data", i, j, m))
+            dr[i] -= m
+            dc[j] -= m
+            rows, match = np.delete(rows, r), np.delete(match, r, axis=0)
+            if abs(dc[j]) <= tol:
+                cols, match = np.delete(cols, c), np.delete(match, c, axis=1)
+            else:
+                match[:, c] = _close(dr[rows], dc[j], tol)
+        else:
             raise UncorrectableError(
-                "error pattern cannot be peeled (rectangular or ambiguous): "
-                f"rows {sorted(bad_rows)}, cols {sorted(bad_cols)}"
+                f"peeling did not converge: rows {rows.tolist()}, cols {cols.tolist()}"
             )
-    else:
-        raise UncorrectableError(
-            f"peeling did not converge: rows {sorted(bad_rows)}, cols {sorted(bad_cols)}"
-        )
     return errors
 
 
@@ -223,25 +230,14 @@ def locate_errors(
         rectangle condition) or is internally inconsistent.
     """
     tol = residual_threshold(em, norm_a, eps_factor)
-
-    if getattr(em, "k", 1) > 1:
-        fresh_rb = em.fresh_row_block(finished_cols, counter=counter)
-        fresh_cb = em.fresh_col_block(finished_cols, counter=counter)
-        drb = np.asarray(fresh_rb - em.row_checksum_block, dtype=np.float64).copy()
-        dcb = np.asarray(fresh_cb - em.col_checksum_block, dtype=np.float64).copy()
-        report = LocationReport(
-            row_residuals=drb[:, 0].copy(), col_residuals=dcb[0].copy()
-        )
+    fresh_rb, fresh_cb = em.fresh_blocks(finished_cols, counter=counter)
+    drb = np.asarray(fresh_rb - em.row_checksum_block, dtype=np.float64)
+    dcb = np.asarray(fresh_cb - em.col_checksum_block, dtype=np.float64)
+    report = LocationReport(row_residuals=drb[:, 0].copy(), col_residuals=dcb[0].copy())
+    if em.k > 1:
         report.errors = decode_residuals_weighted(drb, dcb, em.weights, tol)
-        return report
-
-    fresh_r = em.fresh_row_sums(finished_cols, counter=counter)
-    fresh_c = em.fresh_col_sums(finished_cols, counter=counter)
-    dr = np.asarray(fresh_r - em.row_checksums, dtype=np.float64).copy()
-    dc = np.asarray(fresh_c - em.col_checksums, dtype=np.float64).copy()
-
-    report = LocationReport(row_residuals=dr.copy(), col_residuals=dc.copy())
-    report.errors = decode_residuals(dr, dc, tol)
+    else:
+        report.errors = decode_residuals(drb[:, 0], dcb[0], tol)
     return report
 
 
@@ -265,83 +261,66 @@ def decode_residuals_weighted(
     A corrupted checksum *element* perturbs exactly one channel on one
     side (``drb[i, q] = −m``, everything else clean) and is recognized by
     that signature.
+
+    Each step ratio-tests every bad line at once and peels the first bad
+    row that passes, else the first bad column; a line whose ratio is not
+    finite fails the test.
     """
     n, k = drb.shape
     if k < 2:
         raise UncorrectableError("weighted decode needs at least two channels")
-    w1 = weights[1]
     errors: list[LocatedError] = []
 
-    def bad(x: np.ndarray) -> bool:
-        return bool(np.any(~np.isfinite(x)) or np.any(np.abs(x) > tol))
+    def ratio_hits(lines: np.ndarray) -> np.ndarray:
+        """Per line of *lines* (L, k): the crossing index on the other
+        axis when the line is one lone error's signature, else -1."""
+        m = lines[:, 0]
+        pos = np.rint(lines[:, 1] / m * n)
+        ok = np.isfinite(m) & (np.abs(m) > tol) & (pos >= 1) & (pos <= n)
+        other = np.where(ok, pos, 1).astype(np.intp) - 1
+        # verify across ALL channels: line ≈ m * weights[:, other], with
+        # the product in the weights' dtype as in the peel below
+        target = m.astype(weights.dtype)[:, None] * weights[:, other].T
+        off = np.abs(lines - target) > np.maximum(tol, 1e-8 * np.abs(m))[:, None]
+        return np.where(ok & ~off.any(axis=1), other, -1)
 
-    def match_tol(m: float) -> float:
-        return max(tol, 1e-8 * abs(m))
-
-    def try_line(vec: np.ndarray, along_rows: bool, idx: int) -> bool:
-        """Ratio-decode one line: *idx* is the row index when
-        *along_rows*, else the column index; the ratio recovers the
-        crossing index on the other axis."""
-        m = float(vec[0])
-        if not np.isfinite(m) or abs(m) <= tol:
+    def peel_first(bad: np.ndarray, own: np.ndarray, cross: np.ndarray, by_row: bool) -> bool:
+        """Peel the first line of *own* (N, k) in *bad* that passes the
+        ratio test from both residual sets (*cross* is the other side)."""
+        hits = ratio_hits(own[bad])
+        found = np.flatnonzero(hits >= 0)
+        if not found.size:
             return False
-        ratio = float(vec[1]) / m
-        other = int(round(ratio * n)) - 1
-        if not (0 <= other < n):
-            return False
-        # verify across ALL channels: vec ≈ m * weights[:, other]
-        target = m * weights[:, other]
-        if np.any(np.abs(vec - target) > match_tol(m)):
-            return False
-        if along_rows:
-            errors.append(LocatedError("data", idx, other, m))
-            drb[idx] -= target
-            dcb[:, other] -= m * weights[:, idx]
-        else:
-            errors.append(LocatedError("data", other, idx, m))
-            dcb[:, idx] -= target
-            drb[other] -= m * weights[:, idx]
+        idx, other = int(bad[found[0]]), int(hits[found[0]])
+        m = float(own[idx, 0])
+        errors.append(LocatedError("data", *((idx, other) if by_row else (other, idx)), m))
+        own[idx] -= m * weights[:, other]
+        cross[other] -= m * weights[:, idx]
         return True
 
-    guard = 2 * n + 4
-    for _ in range(guard):
-        bad_rows = [i for i in range(n) if bad(drb[i])]
-        bad_cols = [j for j in range(n) if bad(dcb[:, j])]
-        if not bad_rows and not bad_cols:
-            break
-        progress = False
-        for i in bad_rows:
-            if try_line(drb[i], True, i):
-                progress = True
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(2 * n + 4):
+            hot_r, hot_c = _hot(drb, tol), _hot(dcb, tol).T
+            bad_rows = np.flatnonzero(hot_r.any(axis=1))
+            bad_cols = np.flatnonzero(hot_c.any(axis=1))
+            if not bad_rows.size and not bad_cols.size:
                 break
-        if progress:
-            continue
-        for j in bad_cols:
-            if try_line(dcb[:, j], False, j):
-                progress = True
-                break
-        if progress:
-            continue
-        # checksum-element signatures: exactly one channel of one side hot
-        for i in bad_rows:
-            hot = [q for q in range(k) if abs(drb[i, q]) > tol or not np.isfinite(drb[i, q])]
-            if len(hot) == 1:
-                q = hot[0]
-                errors.append(LocatedError("row_checksum", i, -1, float(-drb[i, q]), q))
-                drb[i, q] = 0.0
-                progress = True
-        for j in bad_cols:
-            hot = [q for q in range(k) if abs(dcb[q, j]) > tol or not np.isfinite(dcb[q, j])]
-            if len(hot) == 1:
-                q = hot[0]
-                errors.append(LocatedError("col_checksum", -1, j, float(-dcb[q, j]), q))
-                dcb[q, j] = 0.0
-                progress = True
-        if not progress:
-            raise UncorrectableError(
-                "weighted decode stalled: "
-                f"rows {bad_rows[:8]}, cols {bad_cols[:8]}"
-            )
-    else:
-        raise UncorrectableError("weighted decode did not converge")
+            if peel_first(bad_rows, drb, dcb.T, True) or peel_first(bad_cols, dcb.T, drb, False):
+                continue
+            # checksum-element signatures: exactly one channel of one side hot
+            progress = False
+            for own, bad, hot, by_row in ((drb, bad_rows, hot_r, True), (dcb.T, bad_cols, hot_c, False)):
+                for i in bad[hot[bad].sum(axis=1) == 1].tolist():
+                    q = int(hot[i].argmax())
+                    kind, at = ("row_checksum", (i, -1)) if by_row else ("col_checksum", (-1, i))
+                    errors.append(LocatedError(kind, *at, float(-own[i, q]), q))
+                    own[i, q] = 0.0
+                    progress = True
+            if not progress:
+                raise UncorrectableError(
+                    "weighted decode stalled: "
+                    f"rows {bad_rows[:8].tolist()}, cols {bad_cols[:8].tolist()}"
+                )
+        else:
+            raise UncorrectableError("weighted decode did not converge")
     return errors

@@ -75,6 +75,13 @@ class QProtector:
         self.qc_chk[:] = 0.0
         self.finished_cols = 0
 
+    def _segments(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The protected segments of columns ``[lo, hi)`` of *a*, one per
+        row of the (hi-lo, N) float64 result: everything outside the
+        reflector region is zeroed. Column-major storage makes the
+        transposed block the contiguous one."""
+        return np.triu(a[: self.n, lo:hi].T, lo + self.offset).astype(np.float64, copy=False)
+
     # -- maintenance -------------------------------------------------------
 
     def update_for_panel(
@@ -93,15 +100,12 @@ class QProtector:
             raise UncorrectableError(
                 f"Q checksum panels must arrive in order: expected {self.finished_cols}, got {p}"
             )
-        n = self.n
-        for j in range(p, p + ib):
-            rows = _q_mask_col(n, j, self.offset)
-            col = a[rows, j]
-            seg = float(np.sum(col))
-            self.qc_chk[j] = seg
-            self.qr_chk[rows] += col
-            if counter is not None:
-                counter.add("abft_qprotect", 2 * F.dot_flops(max(col.size, 1)))
+        seg = self._segments(a, p, p + ib)
+        self.qc_chk[p : p + ib] = seg.sum(axis=1)
+        self.qr_chk += seg.sum(axis=0)
+        if counter is not None:
+            lengths = np.maximum(self.n - self.offset - np.arange(p, p + ib), 1)
+            counter.add("abft_qprotect", 2 * F.dot_flops_total(lengths))
         self.finished_cols = p + ib
 
     def rollback_panel(self, a: np.ndarray, p: int, ib: int) -> None:
@@ -115,26 +119,18 @@ class QProtector:
                 f"can only roll back the last Q panel (finished={self.finished_cols}, "
                 f"got [{p}, {p + ib}))"
             )
-        n = self.n
-        for j in range(p, p + ib):
-            rows = _q_mask_col(n, j, self.offset)
-            self.qr_chk[rows] -= a[rows, j]
-            self.qc_chk[j] = 0.0
+        self.qr_chk -= self._segments(a, p, p + ib).sum(axis=0)
+        self.qc_chk[p : p + ib] = 0.0
         self.finished_cols = p
 
     # -- verification ------------------------------------------------------
 
     def fresh_sums(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Recompute both checksum vectors from the stored Q region."""
-        n = self.n
-        fr = np.zeros(n)
-        fc = np.zeros(n)
-        for j in range(self.finished_cols):
-            rows = _q_mask_col(n, j, self.offset)
-            col = a[rows, j]
-            fc[j] = float(np.sum(col))
-            fr[rows] += col
-        return fr, fc
+        seg = self._segments(a, 0, self.finished_cols)
+        fc = np.zeros(self.n)
+        fc[: self.finished_cols] = seg.sum(axis=1)
+        return seg.sum(axis=0), fc
 
     def threshold(self, dtype: np.dtype | type = np.float64) -> float:
         # eps of the *storage* dtype: corrections write float64 checksum
@@ -177,11 +173,8 @@ class QProtector:
                     counter.add("abft_correct", F.dot_flops(col.size) + 1)
             elif e.kind == "row_checksum":
                 i = e.row
-                total = 0.0
-                for j in range(self.finished_cols):
-                    if i >= j + self.offset:
-                        total += float(a[i, j])
-                self.qr_chk[i] = total
+                cols = max(0, min(self.finished_cols, i - self.offset + 1))
+                self.qr_chk[i] = float(np.sum(a[i, :cols], dtype=np.float64))
             elif e.kind == "col_checksum":
                 j = e.col
                 rows = _q_mask_col(n, j, self.offset)

@@ -143,11 +143,7 @@ def locate_errors_rowonly(
     fresh = em.fresh_row_block(finished_cols, counter=counter)  # (n, k)
     drb = np.asarray(fresh - em.row_checksum_block, dtype=np.float64)
 
-    bad_rows = [
-        i
-        for i in range(n)
-        if np.any(~np.isfinite(drb[i])) or np.any(np.abs(drb[i]) > tol)
-    ]
+    bad_rows = np.flatnonzero((~np.isfinite(drb) | (np.abs(drb) > tol)).any(axis=1)).tolist()
     if not bad_rows:
         return []
     if k < 2:

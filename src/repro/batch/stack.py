@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.abft.encoding import EncodedMatrix, make_weight_block
+from repro.abft.encoding import EncodedMatrix, freeze_col_checksums, make_weight_block
 from repro.errors import ShapeError
 from repro.linalg import flops as F
 from repro.linalg.flops import FlopCounter
@@ -166,18 +166,9 @@ class EncodedMatrixBatch:
         """Freeze the column checksums of newly finished columns, for
         every item at once (stacked
         :meth:`EncodedMatrix.refresh_finished_segment`)."""
-        n = self.n
-        for j in range(p, min(p + ib, n)):
-            hi = min(j + 2, n)
-            np.matmul(
-                self.weights[None, :, :hi],
-                self.ext[:, :hi, j][:, :, None],
-                out=self.ext[:, n:, j][:, :, None],
-            )
-            if counter is not None:
-                counter.add(
-                    "abft_maintain", F.batched_flops(self.b, self.k * F.dot_flops(hi))
-                )
+        flops = freeze_col_checksums(self.ext, self.weights, p, ib)
+        if counter is not None:
+            counter.add("abft_maintain", F.batched_flops(self.b, flops))
 
     # -- detection statistics ----------------------------------------------
 

@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "as Chrome-trace JSON (chrome://tracing)")
     tr.add_argument("--n", type=int, default=1022)
     tr.add_argument("--nb", type=int, default=32)
-    tr.add_argument("--out", type=str, default="ft_hess_trace.json")
+    tr.add_argument("--out", type=str, default=None,
+                    help="write the Chrome-trace JSON here (default "
+                         "ft_hess_trace.json when no output flag is given)")
     tr.add_argument("--chrome", type=str, default=None, metavar="PATH",
                     help="also write the Chrome-trace JSON to this path")
     tr.add_argument("--csv", type=str, default=None, metavar="PATH",
@@ -456,6 +458,8 @@ def _cmd_trace(args) -> str:
     res = ft_gehrd(args.n, FTConfig(nb=args.nb, functional=False))
     chrome = res.timeline.to_chrome_trace()
     written = []
+    if not (args.out or args.chrome or args.csv):
+        args.out = "ft_hess_trace.json"
     for path in (args.out, args.chrome):
         if path:
             with open(path, "w") as fh:

@@ -384,25 +384,29 @@ def ft_gehrd(
         ``in_place_max_errors`` data elements (checksum-element errors
         are recomputed from data and are always safe to fix in place).
         The attempt is transactional: on any doubt the state is restored
-        verbatim and the ladder escalates.
+        verbatim and the ladder escalates. Location only reads the state,
+        so the snapshot is taken once a correction is about to be written.
         """
-        snapshot = em.ext.copy()
         try:
             report = locate_errors(
                 em, finished, norm_a, eps_factor=config.eps_factor_locate,
                 counter=counter,
             )
-            data_errs = [e for e in report.errors if e.kind == "data"]
-            if not report.errors or len(data_errs) > config.ladder.in_place_max_errors:
-                return None
-            if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
-                # With one channel, a "row checksum" diagnosis is
-                # untrustworthy at the current state: a data error in a
-                # just-finished panel column looks identical, because the
-                # panel factorization recomputed that column's checksum
-                # over the corrupted data. Tier 1's restore brings back
-                # the save-time column checksums, which disambiguate.
-                return None
+        except UncorrectableError:
+            return None
+        data_errs = [e for e in report.errors if e.kind == "data"]
+        if not report.errors or len(data_errs) > config.ladder.in_place_max_errors:
+            return None
+        if em.k < 2 and any(e.kind == "row_checksum" for e in report.errors):
+            # With one channel, a "row checksum" diagnosis is
+            # untrustworthy at the current state: a data error in a
+            # just-finished panel column looks identical, because the
+            # panel factorization recomputed that column's checksum
+            # over the corrupted data. Tier 1's restore brings back
+            # the save-time column checksums, which disambiguate.
+            return None
+        snapshot = em.ext.copy()
+        try:
             correct_all(em, report.errors, finished, counter=counter)
             if locate_errors(
                 em, finished, norm_a, eps_factor=config.eps_factor_locate,

@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def gemm_flops(m: int, n: int, k: int) -> int:
     """Flops for ``C <- alpha*A@B + beta*C`` with A (m x k), B (k x n)."""
@@ -34,6 +36,12 @@ def gemv_flops(m: int, n: int) -> int:
 def dot_flops(n: int) -> int:
     """Exact flops for an n-term dot product (n multiplies, n-1 adds)."""
     return max(0, 2 * n - 1)
+
+
+def dot_flops_total(lengths: np.ndarray) -> int:
+    """Exact flops of one dot product per entry of *lengths* — a whole
+    panel's column-segment sums charged at once."""
+    return int(np.maximum(2 * np.asarray(lengths, dtype=np.int64) - 1, 0).sum())
 
 
 def axpy_flops(n: int) -> int:

@@ -29,8 +29,8 @@ def _one_iteration(em, p, ib, n):
 
 
 def _checksum_errors(em, finished):
-    fr = em.fresh_row_sums(finished)
-    fc = em.fresh_col_sums(finished)
+    frb, fcb = em.fresh_blocks(finished)
+    fr, fc = frb[:, 0], fcb[0]
     return (
         float(np.max(np.abs(em.row_checksums - fr))),
         float(np.max(np.abs(em.col_checksums - fc))),

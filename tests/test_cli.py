@@ -97,7 +97,8 @@ class TestTraceCommand:
         doc = json.loads(out_file.read_text())
         assert len(doc["traceEvents"]) > 10
 
-    def test_trace_chrome_and_csv_flags(self, capsys, tmp_path):
+    def test_trace_chrome_and_csv_flags(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         chrome = tmp_path / "chrome.json"
         csv = tmp_path / "trace.csv"
         assert main(
@@ -113,6 +114,14 @@ class TestTraceCommand:
         assert spans and meta
         assert doc["otherData"]["ops"] == len(spans)
         assert csv.read_text().startswith("index,name,resource,category")
+        # an explicit output flag replaces the default file
+        assert not (tmp_path / "ft_hess_trace.json").exists()
+
+    def test_trace_default_output_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "--n", "512"]) == 0
+        assert "ft_hess_trace.json" in capsys.readouterr().out
+        assert (tmp_path / "ft_hess_trace.json").exists()
 
 
 class TestSubmitCommand:

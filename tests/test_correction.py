@@ -51,7 +51,7 @@ class TestApplyCorrection:
         em, norm_a, a = _em(seed=5)
         finished = 5
         # build a consistent masked state
-        em.ext[: em.n, em.n] = em.fresh_row_sums(finished)
+        em.ext[: em.n, em.n] = em.fresh_row_block(finished)[:, 0]
         em.refresh_finished_segment(0, finished)
         true_val = float(em.data[8, 10])
         em.data[8, 10] += 2.0

@@ -51,8 +51,9 @@ class TestFreshSums:
     def test_no_mask_when_nothing_finished(self):
         a = random_matrix(12, seed=7)
         em = EncodedMatrix(a)
-        np.testing.assert_allclose(em.fresh_row_sums(0), a @ np.ones(12), rtol=1e-14)
-        np.testing.assert_allclose(em.fresh_col_sums(0), np.ones(12) @ a, rtol=1e-14)
+        frb, fcb = em.fresh_blocks(0)
+        np.testing.assert_allclose(frb[:, 0], a @ np.ones(12), rtol=1e-14)
+        np.testing.assert_allclose(fcb[0], np.ones(12) @ a, rtol=1e-14)
 
     def test_masking_excludes_q_region(self):
         a = random_matrix(12, seed=8)
@@ -61,8 +62,9 @@ class TestFreshSums:
         masked = a.copy()
         for j in range(finished):
             masked[j + 2 :, j] = 0.0
-        np.testing.assert_allclose(em.fresh_row_sums(finished), masked @ np.ones(12))
-        np.testing.assert_allclose(em.fresh_col_sums(finished), np.ones(12) @ masked)
+        frb, fcb = em.fresh_blocks(finished)
+        np.testing.assert_allclose(frb[:, 0], masked @ np.ones(12))
+        np.testing.assert_allclose(fcb[0], np.ones(12) @ masked)
 
     def test_refresh_finished_segment(self):
         a = random_matrix(12, seed=9)

@@ -53,7 +53,7 @@ class TestSingleError:
         em.refresh_finished_segment(0, finished)
         # recompute row checksums against the masked matrix to emulate a
         # consistent mid-factorization state
-        em.ext[: em.n, em.n] = em.fresh_row_sums(finished)
+        em.ext[: em.n, em.n] = em.fresh_row_block(finished)[:, 0]
         em.data[10, 2] += 4.0  # (10, 2): i >= j+2, j < finished → Q region
         assert locate_errors(em, finished, norm_a).count == 0
 

@@ -78,8 +78,8 @@ class TestChecksumInvariant:
             left_update_encoded(em, pf, vce)
             em.refresh_finished_segment(p, ib)
             p += ib
-        fr = em.fresh_row_sums(p)
-        fc = em.fresh_col_sums(p)
+        frb, fcb = em.fresh_blocks(p)
+        fr, fc = frb[:, 0], fcb[0]
         scale = max(1.0, float(np.max(np.abs(em.data)))) * n
         assert np.max(np.abs(em.row_checksums - fr)) < 1e-12 * scale
         assert np.max(np.abs(em.col_checksums - fc)) < 1e-12 * scale

@@ -144,7 +144,7 @@ class TestRowOnlyLocation:
         em.col_checksum_block[:] = 0.0
         rebuild_col_checksums(em, 0)
         np.testing.assert_allclose(
-            em.col_checksum_block, em.fresh_col_block(0), atol=1e-12
+            em.col_checksum_block, em.fresh_blocks(0)[1], atol=1e-12
         )
 
 

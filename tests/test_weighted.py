@@ -88,8 +88,7 @@ class TestEncodingInvariants:
             left_update_encoded(em, pf, vce)
             em.refresh_finished_segment(p, ib)
             p += ib
-            frb = em.fresh_row_block(p)
-            fcb = em.fresh_col_block(p)
+            frb, fcb = em.fresh_blocks(p)
             assert np.max(np.abs(em.row_checksum_block - frb)) < 1e-11
             assert np.max(np.abs(em.col_checksum_block - fcb)) < 1e-11
 
