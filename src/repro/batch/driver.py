@@ -275,8 +275,12 @@ def ft_gehrd_batched(
 
     if batch_idx:
         # one metadata-mode run prices every clean item: a clean
-        # functional run schedules exactly the ops metadata mode prices
-        priced = ft_gehrd(n, dataclasses.replace(config, functional=False))
+        # functional run schedules exactly the ops metadata mode prices.
+        # It gets an item, not the order, so transfers are priced at the
+        # stack's element size (the fp32 lane moves half the bytes)
+        priced = ft_gehrd(
+            stack[batch_idx[0]], dataclasses.replace(config, functional=False)
+        )
         seconds = priced.seconds
         norms = np.array(
             [one_norm(np.asarray(stack[i], dtype=np.float64)) for i in batch_idx]

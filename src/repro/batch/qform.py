@@ -87,8 +87,10 @@ def factorization_residuals_batched(
     if a.shape != q.shape or a.shape != h.shape:
         raise ShapeError(f"shape mismatch: A {a.shape}, Q {q.shape}, H {h.shape}")
     n = a.shape[1]
-    na = _one_norms(a)
+    # the norms are summed at the lane's precision, as the scalar
+    # residual does; the division runs in float64, as its Python floats do
+    na = _one_norms(a).astype(np.float64)
     resid = _one_norms(a - np.matmul(np.matmul(q, h), q.transpose(0, 2, 1)))
     out = np.zeros(a.shape[0])
-    np.divide(resid, n * na, out=out, where=na != 0.0)
+    np.divide(resid.astype(np.float64), n * na, out=out, where=na != 0.0)
     return out

@@ -204,17 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the service stats dump to this JSON file")
         s.add_argument("--results", type=str, default=None, metavar="PATH",
                        help="write one JobResult JSON per line to this file")
-        s.add_argument("--backend", type=str, default=None,
-                       help="run every loaded job on this array backend "
-                            "(numpy / numpy_functional / jax / cupy; "
-                            "overrides the specs and the REPRO_BACKEND "
-                            "env default — see 'repro backends')")
-
-    sub.add_parser(
-        "backends",
-        help="list the registered array backends (availability, version, "
-             "update contract) — see docs/backends.md",
-    )
 
     cl = sub.add_parser(
         "cluster",
@@ -551,18 +540,6 @@ def _run_jobs(args, *, stream: bool) -> str:
     from repro.utils import Table
 
     specs = _load_jobs(args.jobs)
-    if getattr(args, "backend", None):
-        import dataclasses
-
-        specs = [dataclasses.replace(s, backend=args.backend) for s in specs]
-    from repro.backend import get_backend
-
-    for name in sorted({s.effective_backend for s in specs}):
-        if name != "numpy":
-            # surface an unknown/unavailable backend here — a typed
-            # BackendUnavailableError before the service spins up
-            # (exit code 2), not a per-job rejection inside a worker
-            get_backend(name)
     t0 = time.perf_counter()
     svc = HessService(
         workers=args.workers,
@@ -790,26 +767,6 @@ def _cmd_cluster(args) -> str:
     return t.render() + "\n" + tail
 
 
-def _cmd_backends() -> str:
-    """Registry listing: one row per adapter, default marked."""
-    from repro.backend import available_backends
-    from repro.utils import Table
-
-    t = Table(["name", "available", "version", "contract", "default", "note"])
-    for row in available_backends():
-        t.add_row(
-            [
-                row["name"],
-                "yes" if row["available"] else "no",
-                row["version"] or "-",
-                row["contract"],
-                "*" if row["default"] else "",
-                row["reason"] or "",
-            ]
-        )
-    return t.render()
-
-
 def _cmd_submit(args) -> str:
     return _run_jobs(args, stream=False)
 
@@ -835,15 +792,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "submit": lambda: _cmd_submit(args),
         "serve": lambda: _cmd_serve(args),
         "cluster": lambda: _cmd_cluster(args),
-        "backends": lambda: _cmd_backends(),
     }
-    from repro.errors import BackendUnavailableError
-
-    try:
-        print(dispatch[args.command]())
-    except BackendUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(dispatch[args.command]())
     return 0
 
 

@@ -13,18 +13,6 @@ reproduction needs:
 All 2-D operands are expected to be float64; subviews of Fortran-ordered
 arrays (as produced by basic slicing) are fine — NumPy handles the strides
 and we keep updates in place via ``out[...]`` assignments.
-
-Backend routing
----------------
-The GEMM/GEMV/rank-1 cores accept a ``backend=`` adapter
-(:mod:`repro.backend`). Shape validation and flop accounting stay here —
-one layer, regardless of namespace — while the arithmetic routes through
-the adapter's contract: in-place backends (NumPy, CuPy) update the
-output buffer exactly as before, functional backends (JAX) get a fresh
-result array back. **Callers must use the return value** — that is
-already this module's convention, and it is what makes the same call
-site correct under both contracts. ``backend=None`` (the default) is
-the historical NumPy path, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,11 +29,6 @@ def _count(counter: FlopCounter | None, category: str, n: int | float) -> None:
         counter.add(category, n)
 
 
-def _functional(backend) -> bool:
-    """Does *backend* require the functional (no-mutation) lane?"""
-    return backend is not None and not backend.inplace_updates
-
-
 def gemm(
     alpha: float,
     a: np.ndarray,
@@ -57,14 +40,11 @@ def gemm(
     trans_b: bool = False,
     counter: FlopCounter | None = None,
     category: str = "gemm",
-    backend=None,
 ) -> np.ndarray:
     """``C <- alpha * op(A) @ op(B) + beta * C``; returns C.
 
     ``op(X)`` is ``X`` or ``X.T`` per the ``trans_*`` flags, matching the
-    DGEMM interface the hybrid algorithm's pseudocode calls out. In
-    place on in-place backends (the default NumPy path is unchanged);
-    a fresh array on functional backends.
+    DGEMM interface the hybrid algorithm's pseudocode calls out.
     """
     opa = a.T if trans_a else a
     opb = b.T if trans_b else b
@@ -76,9 +56,6 @@ def gemm(
         raise ShapeError(
             f"gemm shape mismatch: op(A) {opa.shape}, op(B) {opb.shape}, C {c.shape}"
         )
-    if _functional(backend):
-        _count(counter, category, F.gemm_flops(m, n, k))
-        return backend.matmul_into(opa, opb, c, alpha=alpha, beta=beta)
     prod = opa @ opb
     if beta == 0.0:
         c[...] = alpha * prod
@@ -106,20 +83,12 @@ def gemv(
     trans: bool = False,
     counter: FlopCounter | None = None,
     category: str = "gemv",
-    backend=None,
 ) -> np.ndarray:
-    """``y <- alpha * op(A) @ x + beta * y``; returns y (in place on
-    in-place backends, fresh on functional ones)."""
+    """``y <- alpha * op(A) @ x + beta * y`` in place; returns y."""
     opa = a.T if trans else a
     m, n = opa.shape
     if x.shape != (n,) or y.shape != (m,):
         raise ShapeError(f"gemv shape mismatch: op(A) {opa.shape}, x {x.shape}, y {y.shape}")
-    if _functional(backend):
-        _count(counter, category, F.gemv_flops(m, n))
-        prod = backend.xp.matmul(opa, x)
-        if beta == 0.0:
-            return alpha * prod if alpha != 1.0 else prod
-        return beta * y + alpha * prod
     prod = opa @ x
     if beta == 0.0:
         y[...] = alpha * prod
@@ -139,16 +108,11 @@ def ger(
     *,
     counter: FlopCounter | None = None,
     category: str = "ger",
-    backend=None,
 ) -> np.ndarray:
-    """Rank-1 update ``A <- A + alpha * x yᵀ``; returns A (in place on
-    in-place backends, fresh on functional ones)."""
+    """Rank-1 update ``A <- A + alpha * x yᵀ`` in place; returns A."""
     m, n = a.shape
     if x.shape != (m,) or y.shape != (n,):
         raise ShapeError(f"ger shape mismatch: A {a.shape}, x {x.shape}, y {y.shape}")
-    if _functional(backend):
-        _count(counter, category, F.ger_flops(m, n))
-        return a + alpha * backend.xp.outer(x, y)
     a += alpha * np.outer(x, y)
     _count(counter, category, F.ger_flops(m, n))
     return a
@@ -226,15 +190,10 @@ def axpy(
     *,
     counter: FlopCounter | None = None,
     category: str = "axpy",
-    backend=None,
 ) -> np.ndarray:
-    """``y <- alpha * x + y``; returns y (in place on in-place backends,
-    fresh on functional ones)."""
+    """``y <- alpha * x + y`` in place; returns y."""
     if x.shape != y.shape:
         raise ShapeError(f"axpy shape mismatch: x {x.shape}, y {y.shape}")
-    if _functional(backend):
-        _count(counter, category, F.axpy_flops(x.size))
-        return y + alpha * x
     y += alpha * x
     _count(counter, category, F.axpy_flops(x.size))
     return y

@@ -44,26 +44,8 @@ class Workspace:
     never reinterprets bytes across lanes.
     """
 
-    def __init__(self, backend=None) -> None:
-        """*backend* (a :mod:`repro.backend` adapter) scopes the arena.
-
-        ``None`` / the NumPy backend is the historical host arena. An
-        in-place accelerator backend (CuPy) gets its own pools allocated
-        through the adapter — keyed per backend name, so one worker
-        serving mixed-backend jobs never hands device memory to a host
-        kernel or vice versa. Functional backends (JAX) cannot pool at
-        all (immutable arrays have no reusable buffer); :meth:`buf`
-        returns fresh arrays for them and the arena stays empty.
-        """
+    def __init__(self) -> None:
         self._pools: dict[str, np.ndarray] = {}
-        self._backend = None
-        if backend is not None and getattr(backend, "name", "numpy") != "numpy":
-            self._backend = backend
-
-    @property
-    def backend_name(self) -> str:
-        """Which backend's memory this arena pools."""
-        return self._backend.name if self._backend is not None else "numpy"
 
     def buf(
         self,
@@ -76,22 +58,13 @@ class Workspace:
     ) -> np.ndarray:
         """An exact-shape view of the named pool at *dtype*."""
         dt = np.dtype(dtype)
-        bk = self._backend
-        if bk is not None and not bk.inplace_updates:
-            # functional backend: nothing to pool, hand out fresh arrays
-            return bk.zeros(shape, dtype=dt, order=order)
         key = name if dt == np.float64 else f"{name}@{dt.name}"
-        if bk is not None:
-            key = f"{key}#{bk.name}"
         size = 1
         for dim in shape:
             size *= int(dim)
         pool = self._pools.get(key)
         if pool is None or pool.size < size:
-            if bk is not None:
-                pool = bk.empty((max(size, 1),), dtype=dt, order="C")
-            else:
-                pool = np.empty(max(size, 1), dtype=dt)
+            pool = np.empty(max(size, 1), dtype=dt)
             self._pools[key] = pool
         view = pool[:size].reshape(shape, order=order)
         if zero:
@@ -168,31 +141,26 @@ class Workspace:
         self._pools.clear()
 
 
-# One arena per *process and backend*, for workers that run many driver
-# invocations back to back (the serve scheduler's pool workers and
-# in-thread lanes). A single driver invocation still owns its arena
-# exclusively — the serving layer guarantees one job at a time per
-# worker, which is the same lifetime contract as the per-invocation
-# arenas above. Backends are keyed by name so a mixed-backend worker
-# never crosses host and device pools.
-_PROCESS_WS: dict[str, Workspace] = {}
+# One arena per process, for workers that run many driver invocations
+# back to back (the serve scheduler's pool workers and in-thread lanes).
+# A single driver invocation still owns its arena exclusively — the
+# serving layer guarantees one job at a time per worker, which is the
+# same lifetime contract as the per-invocation arenas above.
+_PROCESS_WS: Workspace | None = None
 
 
-def process_workspace(backend=None) -> Workspace:
-    """The per-process shared arena for *backend* (created on first use).
+def process_workspace() -> Workspace:
+    """The per-process shared arena (created on first use).
 
     Buffer pools grow to the largest job the worker has seen and are
     then reused allocation-free by every smaller job — the serving-layer
     analogue of ``presize``. Call :meth:`Workspace.clear` to release the
-    memory between batches. ``backend=None`` is the historical host
-    (NumPy) arena.
+    memory between batches.
     """
-    name = getattr(backend, "name", "numpy") if backend is not None else "numpy"
-    ws = _PROCESS_WS.get(name)
-    if ws is None:
-        ws = Workspace(backend)
-        _PROCESS_WS[name] = ws
-    return ws
+    global _PROCESS_WS
+    if _PROCESS_WS is None:
+        _PROCESS_WS = Workspace()
+    return _PROCESS_WS
 
 
 def gemm_inplace(

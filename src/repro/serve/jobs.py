@@ -7,22 +7,14 @@ campaign. Specs are declarative and picklable, so the same object is
 what travels to a pool worker and what a JSONL job file deserializes
 into.
 
-Content addressing
-------------------
-``job_key(spec)`` is a deterministic digest of everything that can
-change the *result*: the matrix identity (an RNG recipe or a byte-exact
-fingerprint of an inline matrix) plus the driver configuration.
-Scheduling metadata — priority lane, submitter id, timeout, chaos
-hooks — is deliberately excluded, so the same computation submitted by
-two clients at different priorities is one cache entry. The key is what
-the result cache, the in-flight coalescer, and the on-disk spill all
-index by.
+Execution goes through one driver table: each driver names how to run
+one spec, how to run a stacked group (the batch lane), and the one
+function that turns an outcome into payload rows.
 
-The caveat that follows from byte-exact fingerprints: two matrices that
-differ in the last ulp of one entry are different jobs. Near-duplicate
-inputs (same matrix re-generated through a different code path, a
-round-tripped file, an epsilon perturbation) will *miss* the cache; see
-``docs/serving.md`` for the discussion.
+:attr:`JobSpec.key` digests everything that can change the *result*
+(the matrix recipe or the byte-exact fingerprint of an inline matrix,
+plus the driver configuration) and nothing else, so two matrices that
+differ in one ulp are two jobs; see ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -31,7 +23,9 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,21 +37,6 @@ from repro.utils.shm import (
     hash_update_array,
     shm_available,
 )
-
-#: Drivers a job may target. ``ft_eig`` runs the end-to-end protected
-#: eigensolver (FT reduction → protected Francis QR, eigenvalues only);
-#: ``ft_schur`` additionally accumulates and returns the real Schur
-#: form ``A = (QZ) T (QZ)ᵀ``.
-DRIVERS = ("gehrd", "hybrid_gehrd", "ft_gehrd", "ft_sytrd", "campaign",
-           "ft_eig", "ft_schur")
-
-#: Drivers built on the protected Francis QR stage.
-EIG_DRIVERS = ("ft_eig", "ft_schur")
-
-#: Drivers the non-NumPy backend lane can serve (the functional
-#: whole-stack kernels of :mod:`repro.batch.backend_lane`). Everything
-#: else runs on the NumPy engine regardless of the requested backend.
-BACKEND_DRIVERS = ("gehrd", "ft_gehrd")
 
 #: Priority lanes, highest first. The scheduler always drains a higher
 #: lane before looking at a lower one.
@@ -81,37 +60,24 @@ class JobSpecError(ReproError, ValueError):
 class JobSpec:
     """One unit of work for the batch service.
 
-    The matrix is either generated deterministically from
-    ``(kind, n, seed)`` — the common case for sweeps and job files — or
-    supplied inline via ``matrix`` (which then overrides the recipe and
-    is fingerprinted byte-exactly).
+    The matrix is generated deterministically from ``(kind, n, seed)`` or
+    supplied inline via ``matrix``, which overrides the recipe and is
+    fingerprinted byte-exactly. An inline matrix may arrive as a
+    :class:`~repro.utils.shm.SharedMatrix` handle: that is how the
+    scheduler ships large matrices to pool workers without re-pickling
+    them per attempt (see ``docs/performance.md``). ``dtype`` names the
+    precision lane; an inline float32 matrix keeps its lane even under
+    the default ``dtype="float64"`` (see :attr:`lane`).
 
-    ``faults`` is a tuple of :class:`~repro.faults.FaultSpec` keyword
-    dicts injected into FT drivers, so resilience jobs (and their
-    recovery-tier tallies) flow through the same pipeline as clean runs.
-
-    ``crash`` / ``crash_once_path`` are chaos hooks mirroring the
-    campaign executor's: the worker process dies hard (``os._exit``)
-    before doing any work — once only if a sentinel path is given. They
-    exist for the broken-pool recovery tests and the CI smoke job and
-    are excluded from the content key.
-
-    ``return_factors=True`` asks the driver to ship the H and Q factors
-    back with the payload (lazily materialized via
-    :meth:`JobResult.factor`); it *is* part of the content key, and
-    factor-bearing results bypass the result cache — their shared
-    segments have a lifecycle the JSON cache cannot own.
-
-    ``matrix`` may arrive as a :class:`~repro.utils.shm.SharedMatrix`
-    handle instead of an ndarray — that is how the scheduler ships
-    large inline matrices to pool workers without re-pickling them per
-    attempt (the zero-copy data plane; see ``docs/performance.md``).
-
-    ``dtype`` names the precision lane (``"float64"`` / ``"float32"``)
-    the job runs at; it is part of the content key. An inline float32
-    matrix keeps its lane even under the default ``dtype="float64"`` —
-    see :attr:`lane` — so a submitted fp32 matrix is never silently
-    promoted.
+    ``faults`` holds :class:`~repro.faults.FaultSpec` keyword dicts
+    injected into the FT drivers, so resilience jobs flow through the
+    same pipeline as clean runs. ``return_factors=True`` ships the
+    factors back with the payload (see :meth:`JobResult.factor`); such
+    results bypass the result cache, whose JSON entries cannot own
+    shared segments. ``crash`` / ``crash_once_path`` are chaos hooks for
+    the broken-pool tests: the worker dies hard (``os._exit``) before
+    any work, once only if a sentinel path is given. Scheduling metadata
+    and chaos hooks are excluded from the content key.
     """
 
     driver: str = "ft_gehrd"
@@ -119,11 +85,6 @@ class JobSpec:
     seed: int = 0
     kind: str = "uniform"
     dtype: str = "float64"
-    # array backend the job runs on: "" resolves through REPRO_BACKEND
-    # then "numpy" (see repro.backend). Part of the content key — the
-    # functional lanes agree with NumPy to rounding, not byte-identity,
-    # so results from different backends must never share a cache entry.
-    backend: str = ""
     nb: int = 32
     channels: int = 1
     audit_every: int = 0
@@ -157,42 +118,6 @@ class JobSpec:
             lane_dtype(self.dtype)
         except ShapeError as exc:
             raise JobSpecError(str(exc)) from exc
-        from repro.backend import backend_available, get_backend, is_known_backend
-
-        if not is_known_backend(self.backend):
-            from repro.backend import BACKEND_NAMES
-
-            raise JobSpecError(
-                f"unknown backend {self.backend!r} "
-                f"(registered: {', '.join(BACKEND_NAMES)})"
-            )
-        eff = self.effective_backend
-        if eff != "numpy":
-            if self.driver not in BACKEND_DRIVERS:
-                raise JobSpecError(
-                    f"backend {eff!r} serves {BACKEND_DRIVERS} only, "
-                    f"not driver {self.driver!r} (the other drivers run "
-                    "on the NumPy engine)"
-                )
-            if not self.functional:
-                raise JobSpecError(
-                    f"backend {eff!r} runs functional mode only "
-                    "(metadata pricing has no arrays to route)"
-                )
-            if self.channels != 1:
-                raise JobSpecError(
-                    f"backend {eff!r} maintains unit-weight checksums only "
-                    f"(channels=1), got channels={self.channels}"
-                )
-            if self.audit_every:
-                raise JobSpecError(
-                    f"backend {eff!r} has no audit machinery (audit_every "
-                    "must be 0; audits run on the NumPy engine)"
-                )
-            # availability is a submit-time failure, not a worker-time one;
-            # raises a typed BackendUnavailableError with an install hint
-            if not backend_available(eff):
-                get_backend(eff)
         if self.driver == "ft_sytrd" and self.lane != np.float64:
             raise JobSpecError(
                 "ft_sytrd runs in the float64 lane only "
@@ -203,15 +128,20 @@ class JobSpec:
         if self.matrix is None and self.n < 2:
             raise JobSpecError(f"matrix order must be >= 2, got {self.n}")
         if self.matrix is not None:
-            shape = (
-                self.matrix.shape
-                if isinstance(self.matrix, SharedMatrix)
-                else np.asarray(self.matrix).shape
-            )
+            shape = self._inline()[0]
             if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
                 raise JobSpecError(
                     f"inline matrix must be square of order >= 2, got {tuple(shape)}"
                 )
+            # a NaN/Inf entry would look like a soft error to every tier
+            # of the recovery ladder; refuse it here instead of retrying
+            if not isinstance(self.matrix, SharedMatrix):
+                with np.errstate(over="ignore"):
+                    m = np.asarray(self.matrix, dtype=self.lane)
+                if not np.isfinite(m).all():
+                    raise JobSpecError(
+                        f"inline matrix has non-finite entries in the {self.lane.name} lane"
+                    )
         if self.return_factors:
             if self.driver in ("ft_sytrd", "campaign"):
                 raise JobSpecError(
@@ -247,25 +177,15 @@ class JobSpec:
 
     # -- content addressing -------------------------------------------------
 
+    def _inline(self) -> tuple[tuple, np.dtype]:
+        """Shape and dtype of the inline matrix (array or shared handle)."""
+        m = self.matrix if isinstance(self.matrix, SharedMatrix) else np.asarray(self.matrix)
+        return tuple(m.shape), np.dtype(m.dtype)
+
     @property
     def order(self) -> int:
         """The matrix order the job will actually run at."""
-        if isinstance(self.matrix, SharedMatrix):
-            return int(self.matrix.shape[0])
-        if self.matrix is not None:
-            return int(np.asarray(self.matrix).shape[0])
-        return self.n
-
-    @property
-    def effective_backend(self) -> str:
-        """The canonical backend name this job runs on.
-
-        An explicit ``backend`` wins; ``""`` resolves through the
-        ``REPRO_BACKEND`` environment variable, then ``"numpy"``.
-        """
-        from repro.backend import canonical_backend_name
-
-        return canonical_backend_name(self.backend)
+        return self.n if self.matrix is None else int(self._inline()[0][0])
 
     @property
     def lane(self) -> np.dtype:
@@ -276,12 +196,7 @@ class JobSpec:
         fp32 submissions survive end-to-end without an explicit flag.
         """
         if self.dtype == "float64" and self.matrix is not None:
-            dt = (
-                np.dtype(self.matrix.dtype)
-                if isinstance(self.matrix, SharedMatrix)
-                else np.asarray(self.matrix).dtype
-            )
-            if dt == np.float32:
+            if self._inline()[1] == np.float32:
                 return np.dtype(np.float32)
         return lane_dtype(self.dtype)
 
@@ -309,7 +224,6 @@ class JobSpec:
             "driver": self.driver,
             "matrix": self.matrix_fingerprint(),
             "dtype": self.lane.name,
-            "backend": self.effective_backend,
             "nb": self.nb,
             "channels": self.channels,
             "audit_every": self.audit_every,
@@ -465,22 +379,8 @@ class JobResult:
         return dict(self.payload.get("tier_tally", {}))
 
     def to_json(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "key": self.key,
-            "status": self.status,
-            "lane": self.lane,
-            "submitter": self.submitter,
-            "payload": self.payload,
-            "error": self.error,
-            "failure_class": self.failure_class,
-            "retries": self.retries,
-            "cache_hit": self.cache_hit,
-            "coalesced": self.coalesced,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
+        # the init fields; the lazy-materialization plumbing stays local
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @classmethod
     def from_json(cls, data: dict) -> "JobResult":
@@ -521,27 +421,20 @@ def _build_matrix(spec: JobSpec, workspace=None) -> np.ndarray:
     return random_matrix(spec.n, kind=kind, seed=spec.seed, dtype=spec.lane)
 
 
-def _injector(spec: JobSpec):
-    if not spec.faults:
-        return None
-    from repro.faults import FaultInjector, FaultSpec
-
-    return FaultInjector(faults=[FaultSpec(**f) for f in spec.faults])
-
-
-def _split_injectors(spec: JobSpec):
-    """Split a fault plan between the two pipeline stages: reduction
-    faults drive :func:`~repro.core.ft_hessenberg.ft_gehrd`, ``qr_*``
-    faults drive :func:`~repro.eigen.ft_hqr.ft_hqr`. Returns
-    ``(reduction_injector, qr_injector)``, either side None when empty."""
+def _injectors(spec: JobSpec):
+    """``(reduction, qr)`` injectors for the spec's fault plan, either
+    side None when empty. On the eigensolver drivers ``qr_*`` faults
+    drive :func:`~repro.eigen.ft_hqr.ft_hqr`; every other fault drives
+    the reduction."""
     if not spec.faults:
         return None, None
     from repro.faults import FaultInjector, FaultSpec
     from repro.faults.injector import QR_SPACES
 
     plan = [FaultSpec(**f) for f in spec.faults]
-    red = [f for f in plan if f.space not in QR_SPACES]
-    qr = [f for f in plan if f.space in QR_SPACES]
+    on_qr = [spec.driver in EIG_DRIVERS and f.space in QR_SPACES for f in plan]
+    red = [f for f, q in zip(plan, on_qr) if not q]
+    qr = [f for f, q in zip(plan, on_qr) if q]
     return (
         FaultInjector(faults=red) if red else None,
         FaultInjector(faults=qr) if qr else None,
@@ -549,41 +442,10 @@ def _split_injectors(spec: JobSpec):
 
 
 def _tier_tally(recoveries, restarts: int) -> dict:
-    tally: dict[str, int] = {}
-    for rec in recoveries:
-        tally[rec.tier] = tally.get(rec.tier, 0) + 1
+    tally = Counter(rec.tier for rec in recoveries)
     if restarts:
-        tally["restart"] = tally.get("restart", 0) + restarts
-    return tally
-
-
-def _eig_payload(spec: JobSpec, res, fr) -> dict:
-    """The payload rows the scalar and batched eigensolver paths share:
-    the spectrum (as ``[re, im]`` pairs, JSON-safe) plus both stages'
-    detection/recovery accounting and the QR checkpoint statistics."""
-    return {
-        "driver": spec.driver,
-        "n": spec.order,
-        "nb": spec.nb,
-        "dtype": spec.lane.name,
-        "eigvals": [[float(z.real), float(z.imag)] for z in fr.eigvals],
-        "seconds_simulated": float(res.seconds),
-        "detections": int(res.detections) + int(fr.detections),
-        "recoveries": len(res.recoveries) + len(fr.recoveries),
-        "restarts": int(res.restarts),
-        "tau_repairs": int(res.tau_repairs),
-        "sweeps": int(fr.sweeps),
-        "qr_verifications": int(fr.verifications),
-        "rollbacks": int(fr.rollbacks),
-        "deep_rollbacks": int(fr.deep_rollbacks),
-        "checkpoint_saves": int(fr.checkpoint_saves),
-        "checkpoint_restores": int(fr.checkpoint_restores),
-        "checkpoint_corruptions": int(fr.checkpoint_corruptions),
-        "verify_every_final": int(fr.verify_every_final),
-        "tier_tally": _tier_tally(
-            list(res.recoveries) + list(fr.recoveries), res.restarts
-        ),
-    }
+        tally["restart"] += restarts
+    return dict(tally)
 
 
 def _pack_factor(arr: np.ndarray, *, shm_factors: bool, shm_min_bytes: int) -> dict:
@@ -600,82 +462,317 @@ def _pack_factor(arr: np.ndarray, *, shm_factors: bool, shm_min_bytes: int) -> d
     return {"data": arr.tolist(), "dtype": str(arr.dtype)}
 
 
-def _backend_ft_payload(spec: JobSpec, res, i: int) -> dict:
-    """The ``ft_gehrd`` payload rows for item *i* of a
-    :class:`~repro.batch.backend_lane.BackendStackResult`: fast-path
-    items report the shared priced timeline and zero recovery traffic;
-    ejected items report their scalar re-run's own accounting."""
-    sr = res.scalar_results.get(i)
-    payload = {
+def _ft_config(spec: JobSpec, ladder=None, *, functional: bool = True):
+    from repro.core import FTConfig
+
+    cfg = FTConfig(nb=spec.nb, channels=spec.channels, audit_every=spec.audit_every,
+                   functional=functional)
+    if ladder is not None:
+        cfg.ladder = ladder
+    return cfg
+
+
+def _residual_and_factors(spec: JobSpec, a: np.ndarray, res):
+    """The Table II residual of a packed reduction, plus its H/Q
+    factors when the spec asks for them."""
+    from repro.linalg import extract_hessenberg, factorization_residual, orghr
+
+    q, h = orghr(res.a, res.taus), extract_hessenberg(res.a)
+    factors = {"h": h, "q": q} if spec.return_factors else None
+    return factorization_residual(a, q, h), factors
+
+
+def _stack_residuals(stack: np.ndarray, idx: list[int], packed: list) -> list[float]:
+    """Batched Q formation + Table II residuals for items *idx* of
+    *stack*, given their packed results (``.a`` / ``.taus``)."""
+    from repro.batch import (
+        as_item_f_stack,
+        extract_hessenberg_batched,
+        factorization_residuals_batched,
+        orghr_batched,
+    )
+
+    if not idx:
+        return []
+    a_pack = as_item_f_stack([r.a for r in packed])
+    qs = orghr_batched(a_pack, np.stack([r.taus for r in packed]))
+    hs = extract_hessenberg_batched(a_pack)
+    return list(factorization_residuals_batched(stack[idx], qs, hs))
+
+
+# -- the driver table --------------------------------------------------------
+#
+# One _DRIVER_TABLE row per driver. The scalar and batched paths both build
+# payloads through its ``rows``, so their payloads agree by construction:
+#
+#   run(spec, *, workspace, ladder, max_sweeps) -> (outcome, factors | None)
+#   run_stack(specs, stack, workspace) -> (outcomes, ejections), where
+#       outcomes[i] is item i's outcome or the exception it raised;
+#       None when the driver cannot batch
+#   rows(spec, outcome) -> dict
+
+
+def _run_gehrd(spec, *, workspace, ladder, max_sweeps):
+    from repro.linalg import gehrd
+
+    a = _build_matrix(spec, workspace)
+    fact = gehrd(a.copy(order="F"), nb=spec.nb)
+    return _residual_and_factors(spec, a, fact)
+
+
+def _stack_gehrd(specs, stack, workspace):
+    from repro.batch import gehrd_batched
+
+    facts = gehrd_batched(stack, nb=specs[0].nb, workspace=workspace)
+    return _stack_residuals(stack, list(range(len(specs))), facts), 0
+
+
+def _gehrd_rows(spec, residual):
+    return {"residual": float(residual)}
+
+
+def _run_packed(spec, workspace, reduce):
+    """Run a packed-output reduction on the spec's matrix (functional
+    mode) or on its order (metadata mode); the outcome is ``(result,
+    residual)``, the residual None without a matrix."""
+    arg = _build_matrix(spec, workspace) if spec.functional else spec.order
+    res = reduce(arg)
+    if not spec.functional:
+        return (res, None), None
+    residual, factors = _residual_and_factors(spec, arg, res)
+    return (res, residual), factors
+
+
+def _with_residual(rows: dict, residual) -> dict:
+    if residual is not None:
+        rows["residual"] = float(residual)
+    return rows
+
+
+def _run_hybrid(spec, *, workspace, ladder, max_sweeps):
+    from repro.core import HybridConfig, hybrid_gehrd
+
+    cfg = HybridConfig(nb=spec.nb, functional=spec.functional)
+    return _run_packed(spec, workspace, lambda a: hybrid_gehrd(a, cfg, workspace=workspace))
+
+
+def _hybrid_rows(spec, outcome):
+    res, residual = outcome
+    rows = {"seconds_simulated": float(res.seconds), "gflops": float(res.gflops)}
+    return _with_residual(rows, residual)
+
+
+def _run_ft_gehrd(spec, *, workspace, ladder, max_sweeps):
+    from repro.core import ft_gehrd
+
+    cfg = _ft_config(spec, ladder, functional=spec.functional)
+    inj = _injectors(spec)[0]
+    return _run_packed(
+        spec, workspace, lambda a: ft_gehrd(a, cfg, injector=inj, workspace=workspace)
+    )
+
+
+def _stack_ft_gehrd(specs, stack, workspace):
+    from repro.batch import ft_gehrd_batched
+
+    injectors = [_injectors(spec)[0] for spec in specs]
+    br = ft_gehrd_batched(stack, _ft_config(specs[0]), injectors=injectors, workspace=workspace)
+    ok = [i for i in range(len(specs)) if i not in br.errors]
+    residuals = dict(zip(ok, _stack_residuals(stack, ok, [br.results[i] for i in ok])))
+    outcomes = [
+        br.errors[i] if i in br.errors else (br.results[i], residuals[i])
+        for i in range(len(specs))
+    ]
+    return outcomes, len(br.ejected)
+
+
+def _ft_gehrd_rows(spec, outcome):
+    res, residual = outcome
+    rows = {
+        "seconds_simulated": float(res.seconds),
+        "detections": int(res.detections),
+        "recoveries": len(res.recoveries),
+        "restarts": int(res.restarts),
+        "tau_repairs": int(res.tau_repairs),
+        "tier_tally": _tier_tally(res.recoveries, res.restarts),
+    }
+    return _with_residual(rows, residual)
+
+
+def _run_ft_sytrd(spec, *, workspace, ladder, max_sweeps):
+    from repro.core import ft_sytrd
+    from repro.core.ft_tridiag import DEFAULT_AUDIT_EVERY
+
+    # the tridiagonal driver's audit is mandatory (>= 1); 0 means
+    # "driver default" here, unlike the gehrd family where it's "off"
+    audit = spec.audit_every or DEFAULT_AUDIT_EVERY
+    res = ft_sytrd(_build_matrix(spec, workspace), audit_every=audit, injector=_injectors(spec)[0])
+    return res, None
+
+
+def _ft_sytrd_rows(spec, res):
+    return {
+        "detections": int(res.detections),
+        "recoveries": len(res.recoveries),
+        "checks": int(res.checks),
+        "tier_tally": _tier_tally(res.recoveries, 0),
+    }
+
+
+def _qr_stage(h, spec, qr_inj, *, ladder=None, max_sweeps=None):
+    """The protected Francis QR on a reduced H (the eigensolver's
+    second stage)."""
+    from repro.eigen.ft_hqr import QRProtectConfig, ft_hqr
+
+    qcfg = QRProtectConfig(want_z=spec.driver == "ft_schur")
+    if max_sweeps:
+        qcfg.max_sweeps_per_eig = max_sweeps
+    if ladder is not None:
+        qcfg.ladder = ladder
+    return ft_hqr(h, qcfg, injector=qr_inj, check_input=False)
+
+
+def _run_eig(spec, *, workspace, ladder, max_sweeps):
+    from repro.core import ft_gehrd
+    from repro.eigen import hessenberg_eigvecs
+    from repro.linalg import extract_hessenberg, factorization_residual, orghr
+
+    a = _build_matrix(spec, workspace)
+    red_inj, qr_inj = _injectors(spec)
+    res = ft_gehrd(a, _ft_config(spec, ladder), injector=red_inj, workspace=workspace)
+    h = extract_hessenberg(res.a)
+    q = orghr(res.a, res.taus) if spec.driver == "ft_schur" or spec.eigvecs else None
+    fr = _qr_stage(h, spec, qr_inj, ladder=ladder, max_sweeps=max_sweeps)
+    extra: dict = {}
+    factors: dict = {}
+    if spec.driver == "ft_schur":
+        qz = np.asfortranarray(q @ fr.z)
+        # ‖A − (QZ) T (QZ)ᵀ‖₁ / (N ‖A‖₁): the Schur-form analogue of
+        # the Table II factorization residual
+        extra["schur_residual"] = float(factorization_residual(a, qz, fr.t))
+        factors.update(t=np.asarray(fr.t), z=qz)
+    if spec.eigvecs:
+        v = q @ hessenberg_eigvecs(h, fr.eigvals, check_input=False)
+        av = np.asarray(a, dtype=np.float64) @ v
+        lv = v * fr.eigvals[None, :]
+        scale = max(float(np.max(np.abs(a))), 1.0)
+        extra["eigvec_residual"] = float(np.max(np.abs(av - lv)) / scale)
+        factors.update(v_re=np.ascontiguousarray(v.real), v_im=np.ascontiguousarray(v.imag))
+    return (res, fr, extra), (factors if spec.return_factors else None)
+
+
+def _stack_eig(specs, stack, workspace):
+    """The reduction front runs through the stacked FT engine; each item
+    finishes with a scalar protected QR — the QR stage is already O(n³)
+    scalar work, so only the reduction's Python overhead needed
+    amortizing."""
+    from repro.batch import ft_gehrd_batched
+    from repro.linalg import extract_hessenberg
+
+    split = [_injectors(spec) for spec in specs]
+    br = ft_gehrd_batched(
+        stack, _ft_config(specs[0]), injectors=[s[0] for s in split], workspace=workspace
+    )
+    outcomes: list = []
+    for i, (spec, res) in enumerate(zip(specs, br.results)):
+        if i in br.errors:
+            outcomes.append(br.errors[i])
+            continue
+        try:
+            outcomes.append((res, _qr_stage(extract_hessenberg(res.a), spec, split[i][1]), {}))
+        except BaseException as exc:  # noqa: BLE001 - item retry isolation
+            outcomes.append(exc)
+    return outcomes, len(br.ejected)
+
+
+def _eig_rows(spec, outcome):
+    """The spectrum (as ``[re, im]`` pairs, JSON-safe) plus both stages'
+    detection/recovery accounting and the QR checkpoint statistics."""
+    res, fr, extra = outcome
+    return {
+        "eigvals": [[float(z.real), float(z.imag)] for z in fr.eigvals],
+        "seconds_simulated": float(res.seconds),
+        "detections": int(res.detections) + int(fr.detections),
+        "recoveries": len(res.recoveries) + len(fr.recoveries),
+        "restarts": int(res.restarts),
+        "tau_repairs": int(res.tau_repairs),
+        "sweeps": int(fr.sweeps),
+        "qr_verifications": int(fr.verifications),
+        "rollbacks": int(fr.rollbacks),
+        "deep_rollbacks": int(fr.deep_rollbacks),
+        "checkpoint_saves": int(fr.checkpoint_saves),
+        "checkpoint_restores": int(fr.checkpoint_restores),
+        "checkpoint_corruptions": int(fr.checkpoint_corruptions),
+        "verify_every_final": int(fr.verify_every_final),
+        "tier_tally": _tier_tally(list(res.recoveries) + list(fr.recoveries), res.restarts),
+        **extra,
+    }
+
+
+def _run_campaign(spec, *, workspace, ladder, max_sweeps):
+    from repro.core import FTConfig
+    from repro.faults import run_campaign
+
+    channels = max(spec.channels, 2) if spec.adversarial else spec.channels
+    res = run_campaign(
+        _build_matrix(spec, workspace),
+        nb=spec.nb,
+        moments=spec.moments,
+        seed=spec.seed,
+        config=FTConfig(nb=spec.nb, channels=channels),
+        adversarial=spec.adversarial,
+        workers=1,  # the service already owns the process fan-out
+    )
+    return res, None
+
+
+def _campaign_rows(spec, res):
+    return {
+        "trials": len(res.trials),
+        "recovery_rate": float(res.recovery_rate),
+        "worst_residual": float(res.worst_residual),
+        "outcomes": {k: int(v) for k, v in res.outcome_counts.items()},
+    }
+
+
+class _Driver(NamedTuple):
+    run: Callable
+    run_stack: Callable | None
+    rows: Callable
+
+
+#: ``ft_eig`` runs the end-to-end protected eigensolver (FT reduction →
+#: protected Francis QR, eigenvalues only); ``ft_schur`` additionally
+#: accumulates and returns the real Schur form ``A = (QZ) T (QZ)ᵀ``.
+_DRIVER_TABLE: dict[str, _Driver] = {
+    "gehrd": _Driver(_run_gehrd, _stack_gehrd, _gehrd_rows),
+    "hybrid_gehrd": _Driver(_run_hybrid, None, _hybrid_rows),
+    "ft_gehrd": _Driver(_run_ft_gehrd, _stack_ft_gehrd, _ft_gehrd_rows),
+    "ft_sytrd": _Driver(_run_ft_sytrd, None, _ft_sytrd_rows),
+    "campaign": _Driver(_run_campaign, None, _campaign_rows),
+    "ft_eig": _Driver(_run_eig, _stack_eig, _eig_rows),
+    "ft_schur": _Driver(_run_eig, None, _eig_rows),
+}
+
+#: Drivers a job may target.
+DRIVERS = tuple(_DRIVER_TABLE)
+
+#: Drivers built on the protected Francis QR stage.
+EIG_DRIVERS = tuple(name for name, d in _DRIVER_TABLE.items() if d.rows is _eig_rows)
+
+#: Drivers the stacked engine can run (see :mod:`repro.batch`).
+BATCHABLE_DRIVERS = tuple(name for name, d in _DRIVER_TABLE.items() if d.run_stack is not None)
+
+
+def _payload(spec: JobSpec, outcome) -> dict:
+    """The driver-independent rows followed by the driver's own."""
+    return {
         "driver": spec.driver,
         "n": spec.order,
         "nb": spec.nb,
         "dtype": spec.lane.name,
-        "backend": res.backend,
-        "residual": float(res.residuals[i]),
+        **_DRIVER_TABLE[spec.driver].rows(spec, outcome),
     }
-    if sr is None:
-        payload.update(
-            seconds_simulated=float(res.seconds),
-            detections=0,
-            recoveries=0,
-            restarts=0,
-            tau_repairs=0,
-            tier_tally={},
-        )
-    else:
-        payload.update(
-            seconds_simulated=float(sr.seconds),
-            detections=int(sr.detections),
-            recoveries=len(sr.recoveries),
-            restarts=int(sr.restarts),
-            tau_repairs=int(sr.tau_repairs),
-            tier_tally=_tier_tally(sr.recoveries, sr.restarts),
-        )
-    return payload
-
-
-def _execute_backend_job(spec: JobSpec, *, workspace=None):
-    """Run one gehrd/ft_gehrd job on a non-NumPy backend (B=1 stack).
-
-    Returns ``(payload, factors_or_None)`` with exactly the payload keys
-    the NumPy path produces, plus a ``"backend"`` row naming the lane
-    that actually ran.
-    """
-    from repro.batch.backend_lane import ft_gehrd_stack, gehrd_stack
-
-    bk_name = spec.effective_backend
-    a = _build_matrix(spec, workspace)
-    stack = np.asarray(a)[None, :, :]
-
-    if spec.driver == "gehrd":
-        from repro.linalg.verify import factorization_residual
-
-        hs, qs = gehrd_stack(stack, backend=bk_name, nb=spec.nb)
-        h, q = hs[0], qs[0]
-        payload = {
-            "driver": spec.driver,
-            "n": spec.order,
-            "nb": spec.nb,
-            "dtype": spec.lane.name,
-            "backend": bk_name,
-            "residual": float(factorization_residual(np.asarray(a), q, h)),
-        }
-        factors = {"h": h, "q": q} if spec.return_factors else None
-        return payload, factors
-
-    # ft_gehrd (validate() admits no other driver on a backend lane)
-    from repro.core import FTConfig
-
-    cfg = FTConfig(nb=spec.nb, channels=1, audit_every=0, functional=True)
-    res = ft_gehrd_stack(
-        stack, cfg, backend=bk_name, injectors=[_injector(spec)]
-    )
-    if 0 in res.errors:
-        raise res.errors[0]
-    payload = _backend_ft_payload(spec, res, 0)
-    factors = {"h": res.h[0], "q": res.q[0]} if spec.return_factors else None
-    return payload, factors
 
 
 def execute_job(
@@ -705,168 +802,12 @@ def execute_job(
     """
     _maybe_crash(spec)
     t0 = time.perf_counter()
-    payload: dict = {
-        "driver": spec.driver,
-        "n": spec.order,
-        "nb": spec.nb,
-        "dtype": spec.lane.name,
-    }
-    factors: "dict[str, np.ndarray] | None" = None
-
-    if spec.effective_backend != "numpy":
-        payload, factors = _execute_backend_job(spec, workspace=workspace)
-        if factors is not None:
-            payload["factors"] = {
-                name: _pack_factor(
-                    arr, shm_factors=shm_factors, shm_min_bytes=shm_min_bytes
-                )
-                for name, arr in factors.items()
-            }
-        payload["elapsed_s"] = time.perf_counter() - t0
-        return payload
-
-    if spec.driver == "gehrd":
-        from repro.linalg import extract_hessenberg, factorization_residual, gehrd, orghr
-
-        a = _build_matrix(spec, workspace)
-        fact = gehrd(a.copy(order="F"), nb=spec.nb)
-        q = orghr(fact.a, fact.taus)
-        h = extract_hessenberg(fact.a)
-        payload["residual"] = float(factorization_residual(a, q, h))
-        if spec.return_factors:
-            factors = {"h": h, "q": q}
-
-    elif spec.driver == "hybrid_gehrd":
-        from repro.core import HybridConfig, hybrid_gehrd
-        from repro.linalg import extract_hessenberg, factorization_residual, orghr
-
-        cfg = HybridConfig(nb=spec.nb, functional=spec.functional)
-        arg = _build_matrix(spec, workspace) if spec.functional else spec.order
-        res = hybrid_gehrd(arg, cfg, workspace=workspace)
-        payload["seconds_simulated"] = float(res.seconds)
-        payload["gflops"] = float(res.gflops)
-        if spec.functional:
-            q = orghr(res.a, res.taus)
-            h = extract_hessenberg(res.a)
-            payload["residual"] = float(factorization_residual(arg, q, h))
-            if spec.return_factors:
-                factors = {"h": h, "q": q}
-
-    elif spec.driver == "ft_gehrd":
-        from repro.core import FTConfig, ft_gehrd
-        from repro.linalg import extract_hessenberg, factorization_residual, orghr
-
-        cfg = FTConfig(
-            nb=spec.nb,
-            channels=spec.channels,
-            audit_every=spec.audit_every,
-            functional=spec.functional,
-        )
-        if ladder is not None:
-            cfg.ladder = ladder
-        arg = _build_matrix(spec, workspace) if spec.functional else spec.order
-        res = ft_gehrd(arg, cfg, injector=_injector(spec), workspace=workspace)
-        payload["seconds_simulated"] = float(res.seconds)
-        payload["detections"] = int(res.detections)
-        payload["recoveries"] = len(res.recoveries)
-        payload["restarts"] = int(res.restarts)
-        payload["tau_repairs"] = int(res.tau_repairs)
-        payload["tier_tally"] = _tier_tally(res.recoveries, res.restarts)
-        if spec.functional:
-            q = orghr(res.a, res.taus)
-            h = extract_hessenberg(res.a)
-            payload["residual"] = float(factorization_residual(arg, q, h))
-            if spec.return_factors:
-                factors = {"h": h, "q": q}
-
-    elif spec.driver == "ft_sytrd":
-        from repro.core import ft_sytrd
-        from repro.core.ft_tridiag import DEFAULT_AUDIT_EVERY
-
-        a = _build_matrix(spec, workspace)
-        # the tridiagonal driver's audit is mandatory (>= 1); 0 means
-        # "driver default" here, unlike the gehrd family where it's "off"
-        res = ft_sytrd(
-            a,
-            audit_every=spec.audit_every or DEFAULT_AUDIT_EVERY,
-            injector=_injector(spec),
-        )
-        payload["detections"] = int(res.detections)
-        payload["recoveries"] = len(res.recoveries)
-        payload["checks"] = int(res.checks)
-        payload["tier_tally"] = _tier_tally(res.recoveries, 0)
-
-    elif spec.driver in EIG_DRIVERS:
-        from repro.core import FTConfig, ft_gehrd
-        from repro.eigen import hessenberg_eigvecs
-        from repro.eigen.ft_hqr import QRProtectConfig, ft_hqr
-        from repro.linalg import extract_hessenberg, factorization_residual, orghr
-
-        cfg = FTConfig(
-            nb=spec.nb,
-            channels=spec.channels,
-            audit_every=spec.audit_every,
-            functional=True,
-        )
-        if ladder is not None:
-            cfg.ladder = ladder
-        a = _build_matrix(spec, workspace)
-        red_inj, qr_inj = _split_injectors(spec)
-        res = ft_gehrd(a, cfg, injector=red_inj, workspace=workspace)
-        h = extract_hessenberg(res.a)
-        want_z = spec.driver == "ft_schur"
-        qcfg = QRProtectConfig(want_z=want_z)
-        if max_sweeps:
-            qcfg.max_sweeps_per_eig = max_sweeps
-        if ladder is not None:
-            qcfg.ladder = ladder
-        fr = ft_hqr(h, qcfg, injector=qr_inj, check_input=False)
-        payload.update(_eig_payload(spec, res, fr))
-        q = None
-        if want_z or spec.eigvecs:
-            q = orghr(res.a, res.taus)
-        if want_z:
-            qz = np.asfortranarray(q @ fr.z)
-            # ‖A − (QZ) T (QZ)ᵀ‖₁ / (N ‖A‖₁): the Schur-form analogue of
-            # the Table II factorization residual
-            payload["schur_residual"] = float(factorization_residual(a, qz, fr.t))
-            if spec.return_factors:
-                factors = {"t": np.asarray(fr.t), "z": qz}
-        if spec.eigvecs:
-            xh = hessenberg_eigvecs(h, fr.eigvals, check_input=False)
-            v = q @ xh
-            av = np.asarray(a, dtype=np.float64) @ v
-            lv = v * fr.eigvals[None, :]
-            scale = max(float(np.max(np.abs(a))), 1.0)
-            payload["eigvec_residual"] = float(np.max(np.abs(av - lv)) / scale)
-            if spec.return_factors:
-                factors = dict(factors or {})
-                factors["v_re"] = np.ascontiguousarray(v.real)
-                factors["v_im"] = np.ascontiguousarray(v.imag)
-
-    elif spec.driver == "campaign":
-        from repro.core import FTConfig
-        from repro.faults import run_campaign
-
-        a = _build_matrix(spec, workspace)
-        channels = max(spec.channels, 2) if spec.adversarial else spec.channels
-        res = run_campaign(
-            a,
-            nb=spec.nb,
-            moments=spec.moments,
-            seed=spec.seed,
-            config=FTConfig(nb=spec.nb, channels=channels),
-            adversarial=spec.adversarial,
-            workers=1,  # the service already owns the process fan-out
-        )
-        payload["trials"] = len(res.trials)
-        payload["recovery_rate"] = float(res.recovery_rate)
-        payload["worst_residual"] = float(res.worst_residual)
-        payload["outcomes"] = {k: int(v) for k, v in res.outcome_counts.items()}
-
-    else:  # pragma: no cover - validate() runs first
+    if spec.driver not in _DRIVER_TABLE:  # pragma: no cover - validate() runs first
         raise JobSpecError(f"unknown driver {spec.driver!r}")
-
+    outcome, factors = _DRIVER_TABLE[spec.driver].run(
+        spec, workspace=workspace, ladder=ladder, max_sweeps=max_sweeps
+    )
+    payload = _payload(spec, outcome)
     if factors is not None:
         payload["factors"] = {
             name: _pack_factor(arr, shm_factors=shm_factors, shm_min_bytes=shm_min_bytes)
@@ -878,22 +819,16 @@ def execute_job(
 
 # -- batched execution (the serve coalescing lane's fast path) --------------
 
-#: Drivers the stacked engine can run (see :mod:`repro.batch`).
-#: ``ft_eig`` batches its reduction front through the stacked FT engine
-#: and finishes each item with a scalar protected QR — the QR stage is
-#: already O(n³) scalar work, so only the reduction's Python overhead
-#: needed amortizing.
-BATCHABLE_DRIVERS = ("gehrd", "ft_gehrd", "ft_eig")
-
 
 def batch_compatible(spec: JobSpec) -> bool:
     """Can this spec ride the batched fast path at all?
 
-    Static surface only: functional gehrd/ft_gehrd/ft_eig without
-    factors, eigenvectors, audits, chaos hooks, or shared-memory inputs.
-    Fault plans *are* allowed — the batched driver ejects faulty items
-    to the scalar resilience ladder (and QR-stage faults strike the
-    per-item protected QR), so recovery semantics are unchanged.
+    Static surface only: functional jobs of a :data:`BATCHABLE_DRIVERS`
+    driver without factors, eigenvectors, audits, chaos hooks, or
+    shared-memory inputs. Fault plans *are* allowed — the batched driver
+    ejects faulty items to the scalar resilience ladder (and QR-stage
+    faults strike the per-item protected QR), so recovery semantics are
+    unchanged.
     """
     return (
         spec.driver in BATCHABLE_DRIVERS
@@ -911,19 +846,9 @@ def batch_group_key(spec: JobSpec) -> tuple:
 
     The precision lane is part of the key: the stacked engine runs one
     dtype per `(B, n, n)` stack, so fp32 and fp64 jobs at identical
-    shapes still bucket into separate batch lanes. So is the effective
-    backend — NumPy and functional-lane results agree to rounding, not
-    bytes, so jobs on different backends must never coalesce into one
-    stack (or share a cache entry; see :meth:`JobSpec.content_dict`).
+    shapes still bucket into separate batch lanes.
     """
-    return (
-        spec.driver,
-        spec.order,
-        spec.nb,
-        spec.channels,
-        spec.lane.name,
-        spec.effective_backend,
-    )
+    return (spec.driver, spec.order, spec.nb, spec.channels, spec.lane.name)
 
 
 def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
@@ -951,185 +876,19 @@ def execute_jobs_batched(specs: list[JobSpec], *, workspace=None) -> dict:
             f"incompatible batch group: {len(bad)} unbatchable specs, "
             f"{len(keys)} distinct group keys"
         )
-    driver, n, nb, channels, _lane, backend_name = keys.pop()
-
-    from repro.batch import as_item_f_stack, ft_gehrd_batched, gehrd_batched
-    from repro.batch.qform import (
-        extract_hessenberg_batched,
-        factorization_residuals_batched,
-        orghr_batched,
-    )
+    from repro.batch import as_item_f_stack
 
     t0 = time.perf_counter()
-    mats = [_build_matrix(spec, workspace) for spec in specs]
-
-    if backend_name != "numpy":
-        return _execute_jobs_backend_stack(
-            specs, mats, driver=driver, backend_name=backend_name, nb=nb, t0=t0
-        )
-
-    stack = as_item_f_stack(mats)  # the drivers copy; this stays pristine
-    outcomes: list[dict] = []
-    ejections = 0
-
-    def _residuals(idx: list[int], packed: list, taus: list) -> np.ndarray:
-        """Batched Q formation + Table II residuals for items *idx*."""
-        a_pack = as_item_f_stack(packed)
-        t_stack = np.stack(taus)
-        qs = orghr_batched(a_pack, t_stack)
-        hs = extract_hessenberg_batched(a_pack)
-        return factorization_residuals_batched(stack[idx], qs, hs)
-
-    if driver == "ft_eig":
-        from repro.core import FTConfig
-        from repro.eigen.ft_hqr import QRProtectConfig, ft_hqr
-        from repro.linalg import extract_hessenberg
-
-        cfg = FTConfig(nb=nb, channels=channels, audit_every=0, functional=True)
-        split = [_split_injectors(spec) for spec in specs]
-        br = ft_gehrd_batched(
-            stack, cfg, injectors=[s[0] for s in split], workspace=workspace
-        )
-        ejections = len(br.ejected)
-        for i, spec in enumerate(specs):
-            if i in br.errors:
-                outcomes.append({"ok": False, "error": br.errors[i]})
-                continue
-            res = br.results[i]
-            try:
-                fr = ft_hqr(
-                    extract_hessenberg(res.a),
-                    QRProtectConfig(want_z=False),
-                    injector=split[i][1],
-                    check_input=False,
-                )
-            except BaseException as exc:  # noqa: BLE001 - item retry isolation
-                outcomes.append({"ok": False, "error": exc})
-                continue
-            outcomes.append({"ok": True, "payload": _eig_payload(spec, res, fr)})
-
-    elif driver == "gehrd":
-        facts = gehrd_batched(stack, nb=nb, workspace=workspace)
-        residuals = _residuals(
-            list(range(len(specs))),
-            [f.a for f in facts],
-            [f.taus for f in facts],
-        )
-        for spec, r in zip(specs, residuals):
-            payload = {
-                "driver": spec.driver,
-                "n": n,
-                "nb": nb,
-                "dtype": spec.lane.name,
-                "residual": float(r),
-            }
-            outcomes.append({"ok": True, "payload": payload})
-    else:
-        from repro.core import FTConfig
-
-        cfg = FTConfig(nb=nb, channels=channels, audit_every=0, functional=True)
-        injectors = [_injector(spec) for spec in specs]
-        br = ft_gehrd_batched(stack, cfg, injectors=injectors, workspace=workspace)
-        ejections = len(br.ejected)
-        ok_idx = [i for i in range(len(specs)) if i not in br.errors]
-        residuals = dict(
-            zip(
-                ok_idx,
-                _residuals(
-                    ok_idx,
-                    [br.results[i].a for i in ok_idx],
-                    [br.results[i].taus for i in ok_idx],
-                ),
-            )
-        ) if ok_idx else {}
-        for i, spec in enumerate(specs):
-            if i in br.errors:
-                outcomes.append({"ok": False, "error": br.errors[i]})
-                continue
-            res = br.results[i]
-            payload = {
-                "driver": spec.driver,
-                "n": n,
-                "nb": nb,
-                "dtype": spec.lane.name,
-                "seconds_simulated": float(res.seconds),
-                "detections": int(res.detections),
-                "recoveries": len(res.recoveries),
-                "restarts": int(res.restarts),
-                "tau_repairs": int(res.tau_repairs),
-                "tier_tally": _tier_tally(res.recoveries, res.restarts),
-                "residual": float(residuals[i]),
-            }
-            outcomes.append({"ok": True, "payload": payload})
-
+    # the drivers copy; this stack stays pristine for the residuals
+    stack = as_item_f_stack([_build_matrix(spec, workspace) for spec in specs])
+    items, ejections = _DRIVER_TABLE[specs[0].driver].run_stack(specs, stack, workspace)
     per_item = (time.perf_counter() - t0) / len(specs)
-    for oc in outcomes:
-        if oc["ok"]:
-            oc["payload"]["elapsed_s"] = per_item
-    return {"outcomes": outcomes, "ejections": ejections, "batch_size": len(specs)}
-
-
-def _execute_jobs_backend_stack(
-    specs: list[JobSpec],
-    mats: list[np.ndarray],
-    *,
-    driver: str,
-    backend_name: str,
-    nb: int,
-    t0: float,
-) -> dict:
-    """The backend twin of the NumPy branch of :func:`execute_jobs_batched`:
-    one whole-stack functional run over the coalesced ``(B, n, n)`` stack,
-    same outcome/ejection bookkeeping."""
-    from repro.batch.backend_lane import ft_gehrd_stack, gehrd_stack
-
-    stack = np.stack([np.ascontiguousarray(m) for m in mats])
-    outcomes: list[dict] = []
-    ejections = 0
-
-    if driver == "gehrd":
-        from repro.linalg.verify import factorization_residual
-
-        hs, qs = gehrd_stack(stack, backend=backend_name, nb=nb)
-        for i, spec in enumerate(specs):
-            outcomes.append(
-                {
-                    "ok": True,
-                    "payload": {
-                        "driver": spec.driver,
-                        "n": spec.order,
-                        "nb": nb,
-                        "dtype": spec.lane.name,
-                        "backend": backend_name,
-                        "residual": float(
-                            factorization_residual(stack[i], qs[i], hs[i])
-                        ),
-                    },
-                }
-            )
-    else:  # ft_gehrd (batch_group_key admits no other backend driver)
-        from repro.core import FTConfig
-
-        cfg = FTConfig(nb=nb, channels=1, audit_every=0, functional=True)
-        res = ft_gehrd_stack(
-            stack,
-            cfg,
-            backend=backend_name,
-            injectors=[_injector(spec) for spec in specs],
-        )
-        ejections = len(res.ejected)
-        for i, spec in enumerate(specs):
-            if i in res.errors:
-                outcomes.append({"ok": False, "error": res.errors[i]})
-            else:
-                outcomes.append(
-                    {"ok": True, "payload": _backend_ft_payload(spec, res, i)}
-                )
-
-    per_item = (time.perf_counter() - t0) / len(specs)
-    for oc in outcomes:
-        if oc["ok"]:
-            oc["payload"]["elapsed_s"] = per_item
+    outcomes = [
+        {"ok": False, "error": item}
+        if isinstance(item, BaseException)
+        else {"ok": True, "payload": {**_payload(spec, item), "elapsed_s": per_item}}
+        for spec, item in zip(specs, items)
+    ]
     return {"outcomes": outcomes, "ejections": ejections, "batch_size": len(specs)}
 
 
@@ -1155,11 +914,6 @@ def execute_job_pooled(
     """Worker-side wrapper binding the per-process Workspace arena."""
     from repro.perf.workspace import process_workspace
 
-    return execute_job(
-        spec,
-        workspace=process_workspace(),
-        ladder=ladder,
-        shm_factors=shm_factors,
-        shm_min_bytes=shm_min_bytes,
-        max_sweeps=max_sweeps,
-    )
+    return execute_job(spec, workspace=process_workspace(), ladder=ladder,
+                       shm_factors=shm_factors, shm_min_bytes=shm_min_bytes,
+                       max_sweeps=max_sweeps)

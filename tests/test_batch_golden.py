@@ -27,6 +27,7 @@ from repro.linalg.gehrd import gehrd
 from repro.perf.workspace import Workspace
 from repro.serve import HessService, JobSpec
 from repro.serve.jobs import (
+    BATCHABLE_DRIVERS,
     batch_compatible,
     batch_group_key,
     execute_job,
@@ -257,21 +258,29 @@ def test_batch_compatible_surface():
     )
 
 
-def test_execute_jobs_batched_payloads_match_execute_job():
-    n = 32
-    specs = [JobSpec(driver="ft_gehrd", n=n, seed=s) for s in range(4)]
-    specs += [
-        JobSpec(
-            driver="ft_gehrd",
-            n=n,
-            seed=9,
-            faults=({"iteration": 1, "row": n // 2, "col": n - 2, "magnitude": 2.0},),
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("driver", BATCHABLE_DRIVERS)
+def test_execute_jobs_batched_payloads_match_execute_job(driver, dtype):
+    n, nb = 32, 8
+    specs = [JobSpec(driver=driver, n=n, nb=nb, seed=s, dtype=dtype) for s in range(3)]
+    # plain gehrd has no fault surface; every FT driver gets one faulted
+    # item, which the batch ejects to the scalar ladder
+    faulted = driver != "gehrd"
+    if faulted:
+        specs.append(
+            JobSpec(
+                driver=driver,
+                n=n,
+                nb=nb,
+                seed=9,
+                dtype=dtype,
+                faults=({"iteration": 1, "row": n // 2, "col": n - 2, "magnitude": 2.0},),
+            )
         )
-    ]
     assert len({batch_group_key(s) for s in specs}) == 1
     out = execute_jobs_batched(specs)
     assert out["batch_size"] == len(specs)
-    assert out["ejections"] == 1  # the fault job finished on the scalar ladder
+    assert out["ejections"] == int(faulted)
     for spec, oc in zip(specs, out["outcomes"]):
         assert oc["ok"]
         ref = execute_job(spec)
@@ -279,16 +288,8 @@ def test_execute_jobs_batched_payloads_match_execute_job():
         # wall-clock differs by construction; every result key is exact
         got.pop("elapsed_s"), ref.pop("elapsed_s")
         assert got == ref
-
-
-def test_execute_jobs_batched_gehrd_group():
-    specs = [JobSpec(driver="gehrd", n=24, nb=8, seed=s) for s in range(3)]
-    out = execute_jobs_batched(specs)
-    for spec, oc in zip(specs, out["outcomes"]):
-        ref = execute_job(spec)
-        got = dict(oc["payload"])
-        got.pop("elapsed_s"), ref.pop("elapsed_s")
-        assert got == ref
+    if faulted:
+        assert out["outcomes"][-1]["payload"]["recoveries"] >= 1
 
 
 def test_execute_jobs_batched_rejects_mixed_groups():
@@ -517,52 +518,3 @@ def test_batched_fused_left_update_invocation_count(monkeypatch):
     # no standalone checksum-row product: nothing with k rows in the
     # trailing matrix dims
     assert all(s[-2] != k for s in mm + gm)
-
-
-# ---------------------------------------------------------------------------
-# serve: backend-lane batched groups
-# ---------------------------------------------------------------------------
-
-
-def test_execute_jobs_batched_backend_group_matches_scalar_route():
-    n = 32
-    specs = [
-        JobSpec(driver="ft_gehrd", n=n, seed=s, backend="numpy_functional")
-        for s in range(3)
-    ]
-    assert len({batch_group_key(s) for s in specs}) == 1
-    out = execute_jobs_batched(specs)
-    assert out["batch_size"] == len(specs)
-    assert out["ejections"] == 0
-    for spec, oc in zip(specs, out["outcomes"]):
-        assert oc["ok"]
-        ref = execute_job(spec)  # the single-job backend route
-        got = dict(oc["payload"])
-        got.pop("elapsed_s"), ref.pop("elapsed_s")
-        assert got == ref
-        assert got["backend"] == "numpy_functional"
-        assert got["residual"] < 1e-13
-
-
-def test_execute_jobs_batched_backend_group_fault_ejects_to_scalar():
-    n = 32
-    specs = [
-        JobSpec(driver="ft_gehrd", n=n, seed=s, backend="numpy_functional")
-        for s in range(2)
-    ]
-    specs.append(
-        JobSpec(
-            driver="ft_gehrd", n=n, seed=9, backend="numpy_functional",
-            # iteration 0: n=32/nb=32 is a single blocked iteration, so
-            # this fires mid-run and the scalar ladder must recover it
-            faults=({"iteration": 0, "row": n // 2, "col": n - 2,
-                     "magnitude": 2.0},),
-        )
-    )
-    out = execute_jobs_batched(specs)
-    assert out["ejections"] == 1  # the fault finished on the scalar ladder
-    for oc in out["outcomes"]:
-        assert oc["ok"]
-        assert oc["payload"]["residual"] < 1e-13
-    # the ejected item's scalar re-run reports its own recovery traffic
-    assert out["outcomes"][-1]["payload"]["recoveries"] >= 1

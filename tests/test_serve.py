@@ -304,6 +304,24 @@ class TestAdmission:
         assert not sub.accepted
         assert sub.reason.startswith("invalid:")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+    def test_non_finite_inline_matrix_refused_at_submit(self, bad):
+        m = np.random.default_rng(0).standard_normal((16, 16))
+        m[3, 5] = bad
+        # 1e39 is finite in float64 but overflows the float32 lane
+        spec = JobSpec(driver="ft_gehrd", matrix=m, dtype="float32")
+        with pytest.raises(JobSpecError, match="non-finite"):
+            spec.validate()
+
+        async def run():
+            sched = AsyncScheduler(workers=1, max_queue=2)
+            return await sched.submit(spec)
+
+        sub = asyncio.run(run())
+        assert not sub.accepted
+        assert sub.reason.startswith("invalid:")
+        assert sub.job_id is None
+
     def test_duplicates_coalesce_past_a_full_queue(self):
         async def run():
             sched = AsyncScheduler(workers=1, max_queue=1, cache=ResultCache(1 << 20))
@@ -601,8 +619,7 @@ class TestEigDrivers:
                 assert res.status == "done", res.error
                 got = dict(res.payload)
                 ref = execute_job(spec)
-                for k in ("elapsed_s", "seconds_simulated"):
-                    got.pop(k, None), ref.pop(k, None)
+                got.pop("elapsed_s"), ref.pop("elapsed_s")
                 assert got == ref
         assert stats["batch_lane"]["batches"] >= 1
 
@@ -671,117 +688,3 @@ class TestHealthGauges:
         finally:
             if os.path.exists(stale):
                 os.unlink(stale)
-
-
-# ---------------------------------------------------------------------------
-# array-backend routing: cache safety + typed degradation
-# ---------------------------------------------------------------------------
-
-
-class TestBackendRouting:
-    def test_backend_is_part_of_content_key(self, monkeypatch):
-        import repro.backend as B
-
-        monkeypatch.delenv(B.ENV_VAR, raising=False)
-        base = JobSpec(driver="ft_gehrd", n=64, seed=1)
-        other = JobSpec(driver="ft_gehrd", n=64, seed=1, backend="numpy_functional")
-        # the same matrix under two backends is two cache entries: the
-        # functional lanes agree to rounding, not byte-identity
-        assert base.key != other.key
-        # "" resolves to the host default — the same effective backend
-        assert base.key == JobSpec(driver="ft_gehrd", n=64, seed=1, backend="numpy").key
-
-    def test_batch_group_key_separates_backends(self, monkeypatch):
-        import repro.backend as B
-        from repro.serve.jobs import batch_group_key
-
-        monkeypatch.delenv(B.ENV_VAR, raising=False)
-        a = JobSpec(driver="gehrd", n=32, seed=0)
-        b = JobSpec(driver="gehrd", n=32, seed=0, backend="numpy_functional")
-        assert batch_group_key(a) != batch_group_key(b)
-
-    def test_validate_backend_restrictions(self):
-        with pytest.raises(JobSpecError, match="registered"):
-            JobSpec(n=32, backend="torch").validate()
-        with pytest.raises(JobSpecError, match="functional"):
-            JobSpec(n=32, backend="numpy_functional", functional=False).validate()
-        with pytest.raises(JobSpecError, match="channels"):
-            JobSpec(n=32, backend="numpy_functional", channels=2).validate()
-        with pytest.raises(JobSpecError, match="audit"):
-            JobSpec(n=32, backend="numpy_functional", audit_every=2).validate()
-        with pytest.raises(JobSpecError):
-            JobSpec(driver="ft_sytrd", n=32, backend="numpy_functional").validate()
-        # the numpy default carries no restrictions
-        JobSpec(n=32, backend="numpy", channels=2).validate()
-
-    def test_unavailable_backend_raises_typed_at_submit(self, monkeypatch):
-        import repro.backend as B
-        from repro.errors import BackendUnavailableError
-
-        monkeypatch.setattr(B, "_DISABLED", {"jax"})
-        with HessService(workers=1) as svc:
-            # NOT a soft JobSpecError rejection: the typed error must
-            # reach the caller before any work is queued
-            with pytest.raises(BackendUnavailableError, match="unavailable"):
-                svc.submit(JobSpec(driver="ft_gehrd", n=32, backend="jax"))
-
-    def test_same_matrix_two_backends_never_share_cache(self, monkeypatch):
-        import repro.backend as B
-
-        monkeypatch.delenv(B.ENV_VAR, raising=False)
-        specs = [
-            JobSpec(driver="ft_gehrd", n=32, seed=0),
-            JobSpec(driver="ft_gehrd", n=32, seed=0, backend="numpy_functional"),
-            JobSpec(driver="ft_gehrd", n=32, seed=0),
-            JobSpec(driver="ft_gehrd", n=32, seed=0, backend="numpy_functional"),
-        ]
-        with HessService(workers=1, max_queue=16) as svc:
-            subs = svc.submit_batch(specs)
-            assert all(s.accepted for s in subs)
-            svc.drain(timeout=120)
-            results = [svc.result(s.job_id, timeout=5) for s in subs]
-            stats = svc.stats()
-        assert all(r.status == "done" for r in results)
-        # duplicates coalesce within a backend, never across: 2 misses
-        # (one per backend), 2 hits
-        assert stats["hit_rate"] == 0.5
-        # the numpy path's payload is byte-identical to the pre-seam
-        # code (no backend stamp); the functional lane stamps its name
-        assert results[0].payload.get("backend", "numpy") == "numpy"
-        assert results[1].payload["backend"] == "numpy_functional"
-        # cached repeats returned each backend's own payload
-        assert results[2].payload == results[0].payload
-        assert results[3].payload == results[1].payload
-        assert results[1].payload["residual"] < 1e-13
-
-    def test_mixed_backend_jobs_never_coalesce_into_one_batch(self, monkeypatch):
-        import repro.backend as B
-
-        monkeypatch.delenv(B.ENV_VAR, raising=False)
-        n = 32
-        specs = [JobSpec(driver="ft_gehrd", n=n, seed=s) for s in range(3)]
-        specs += [
-            JobSpec(driver="ft_gehrd", n=n, seed=s, backend="numpy_functional")
-            for s in range(3)
-        ]
-        with HessService(
-            workers=1,
-            max_queue=64,
-            small_n_threshold=n,
-            batch_max=16,
-            batch_linger_ms=40.0,
-        ) as svc:
-            subs = svc.submit_batch(specs)
-            assert all(s.accepted for s in subs)
-            svc.drain(timeout=120)
-            results = [svc.result(s.job_id, timeout=5) for s in subs]
-            stats = svc.stats()
-        assert all(r.status == "done" for r in results)
-        lane = stats["batch_lane"]
-        # 6 jobs, one linger window, batch_max=16 — without the backend
-        # in the group key this would be a single batch of 6
-        assert lane["batched_jobs"] + lane["singletons"] == len(specs)
-        assert all(r.payload.get("backend", "numpy") == "numpy" for r in results[:3])
-        assert all(
-            r.payload["backend"] == "numpy_functional" for r in results[3:]
-        )
